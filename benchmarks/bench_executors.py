@@ -16,7 +16,14 @@ execution stack:
    on total wall-clock; ``--assert-service-speedup`` gates CI on it.
 3. **Snapshot warm-start** -- persists the service cache to disk, then
    compares a cold run against a cold-process-warm-started-from-disk run:
-   the warm-started one must show the higher cache hit-rate.
+   the warm-started one must show the higher analysis-cache hit-rate.
+
+Each section prints its cache configuration and hit counts.  Every
+section except the persistent service compiles with the compiled-result
+cache **off**, so a repeated job is recompiled rather than answered from
+``ResultCache``; the service keeps its default result cache, so its later
+rounds are largely result-cache hits (the printed hit count says how
+many).
 
 All executors must produce gate-identical circuits; the script always
 verifies that, whatever else it measures.  A heterogeneous two-target
@@ -94,18 +101,30 @@ def assert_identical(reference, candidates, label):
             )
 
 
+def cache_line(analysis: AnalysisCache, result_hits: int | None = None) -> str:
+    """One line naming a section's caches and their hit counts."""
+    requests = analysis.matrix_requests
+    hits = requests - analysis.matrix_constructions
+    result = "off" if result_hits is None else f"on, {result_hits} hits"
+    return (
+        f"caches: analysis matrices {hits}/{requests} hits "
+        f"({hits / requests if requests else 0.0:.1%}); result cache {result}"
+    )
+
+
 def measure_service_vs_per_call(
     circuits, seeds, target: Target, pipeline: str, rounds: int
 ):
     """Total wall-clock of ``rounds`` batches: per-call pools vs one service.
 
-    Both contenders keep one warm :class:`AnalysisCache` across rounds, so
-    the only difference is the pool lifetime -- per-call pays
-    ``ProcessPoolExecutor`` start-up and worker warm-start every round,
-    the service pays it once.
+    Both contenders keep one warm :class:`AnalysisCache` across rounds.
+    Per-call pays ``ProcessPoolExecutor`` start-up and worker warm-start
+    every round, the service pays it once -- and the service also keeps
+    its default result cache, which answers repeated jobs without
+    compiling.  Returns ``(walls, cache lines)``.
     """
 
-    def per_call() -> float:
+    def per_call():
         cache = AnalysisCache()
         start = time.perf_counter()
         for round_index in range(rounds):
@@ -117,20 +136,30 @@ def measure_service_vs_per_call(
                 executor="process",
                 analysis_cache=cache,
             )
-        return time.perf_counter() - start
+        return time.perf_counter() - start, cache_line(cache)
 
-    def service() -> float:
+    def service():
         start = time.perf_counter()
         with CompileService(pipeline=pipeline, target=target) as svc:
             for round_index in range(rounds):
                 svc.map([circuit.copy() for circuit in circuits], seeds=seeds)
-        return time.perf_counter() - start
+            result_hits = svc.stats()["result_cache_hits"]
+        return time.perf_counter() - start, cache_line(svc.cache, result_hits)
 
-    return {"process_per_call": per_call(), "service": service()}
+    per_call_wall, per_call_caches = per_call()
+    service_wall, service_caches = service()
+    walls = {"process_per_call": per_call_wall, "service": service_wall}
+    return walls, {"process_per_call": per_call_caches, "service": service_caches}
 
 
 def measure_snapshot_warm_start(circuits, seeds, target, pipeline, snapshot_path):
-    """Cold run vs cold-run-warm-started-from-disk; returns both hit rates."""
+    """Cold run vs cold-run-warm-started-from-disk; returns both hit rates.
+
+    Both services run with the result cache off: ``save_snapshot`` also
+    persists ``<path>.results``, and a reborn service with its result
+    cache on answers every job from it without querying the
+    :class:`AnalysisCache` whose warm-start this measures.
+    """
 
     def hit_rate(cache: AnalysisCache) -> float:
         requests = cache.matrix_requests
@@ -141,7 +170,7 @@ def measure_snapshot_warm_start(circuits, seeds, target, pipeline, snapshot_path
     # very hit-rate gap this measurement demonstrates)
     cold_cache = AnalysisCache()
     with CompileService(
-        pipeline=pipeline, target=target, analysis_cache=cold_cache
+        pipeline=pipeline, target=target, analysis_cache=cold_cache, result_cache=False
     ) as service:
         service.map([circuit.copy() for circuit in circuits], seeds=seeds)
         service.save_snapshot(snapshot_path)
@@ -151,11 +180,14 @@ def measure_snapshot_warm_start(circuits, seeds, target, pipeline, snapshot_path
         pipeline=pipeline,
         target=target,
         analysis_cache=warm_cache,
+        result_cache=False,
         snapshot_path=snapshot_path,
     )
     entries_loaded = reborn.stats()["snapshot_entries_loaded"]
     reborn.map([circuit.copy() for circuit in circuits], seeds=seeds)
     reborn.shutdown(save=False)
+    print(f"cold run {cache_line(cold_cache)}")
+    print(f"warm run {cache_line(warm_cache)}")
     return {
         "cold_hit_rate": hit_rate(cold_cache),
         "warm_hit_rate": hit_rate(warm_cache),
@@ -183,6 +215,7 @@ def measure_heterogeneous(circuits, seeds, pipeline):
         full_result=True,
     )
     wall = time.perf_counter() - start
+    print(f"heterogeneous batch {cache_line(cache)}")
     return aggregate_batch(results, cache=cache, executor="process", wall_time=wall)
 
 
@@ -254,6 +287,7 @@ def main(argv=None):
     rows = []
     for executor in ("serial", "thread", "process"):
         wall, results, cache = measure(executor)
+        print(f"{executor}: fresh {cache_line(cache)}")
         wall_times[executor] = wall
         outputs[executor] = [result.circuit for result in results]
         reports[executor] = aggregate_batch(
@@ -280,15 +314,17 @@ def main(argv=None):
     print("parity: all executors produced gate-identical circuits")
 
     # -- persistent service vs per-call pools -------------------------------
-    service_walls = measure_service_vs_per_call(
+    service_walls, service_caches = measure_service_vs_per_call(
         circuits, seeds, target, args.pipeline, args.rounds
     )
+    for name, caches in service_caches.items():
+        print(f"{name}: shared across rounds, {caches}")
     if args.assert_service_speedup and (
         service_walls["service"] >= service_walls["process_per_call"]
     ):
         # shared CI runners are noisy: best-of-two before failing the gate
         print("service did not beat per-call pools on the first run; re-measuring")
-        rerun = measure_service_vs_per_call(
+        rerun, _ = measure_service_vs_per_call(
             circuits, seeds, target, args.pipeline, args.rounds
         )
         service_walls = {

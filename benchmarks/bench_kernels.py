@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Batched-kernel shoot-out: stacked-operand reductions vs per-matrix loops.
 
-Measures the numeric stages that PR'd batched kernels replaced, on blocks
-and runs collected from the Table-II workloads:
+Measures the numeric stages the batched kernels serve against the plain
+per-matrix oracles in ``tests/oracles.py``, on blocks and runs collected
+from the Table-II workloads:
 
 * **consolidation** -- every two-qubit block unitary of the workload set,
-  serial (``embed_gate`` + matmul per gate, one block at a time) vs
-  batched (:func:`repro.linalg.batch.two_qubit_chain_unitaries` over all
-  blocks at once).  This is the stage ``ConsolidateBlocks`` runs per
-  transpilation and the one ``check_regression.py --kernels`` gates.
+  serial (:func:`serial_block_matrix`: ``embed_gate`` + matmul per gate,
+  one block at a time) vs batched
+  (:func:`repro.linalg.batch.two_qubit_chain_unitaries` over all blocks at
+  once).  This is the stage ``ConsolidateBlocks`` runs per transpilation
+  and the one ``check_regression.py --kernels`` gates.
 * **runs1q** -- all single-qubit run products + Euler extractions, serial
-  vs batched (:func:`chain_products` + :func:`u3_params_batch`), the
+  (:func:`serial_run_product` + scalar extraction) vs batched
+  (:func:`chain_products` + :func:`u3_params_batch`), the
   ``Optimize1qGates`` stage.
-* **fusion** -- statevector simulation wall with and without the gate
-  fusion pre-step (informational).
+* **fusion** -- statevector simulation wall of the fused simulator vs the
+  one-step-per-gate oracle (:func:`unfused_statevector`; informational).
 
 Usage::
 
@@ -23,6 +26,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 
 import numpy as np
@@ -33,12 +38,19 @@ from repro.algorithms import (
     quantum_volume_circuit,
     ry_ansatz,
 )
-from repro.circuit.matrix_utils import embed_gate
 from repro.linalg.batch import chain_products, two_qubit_chain_unitaries, u3_params_batch
 from repro.linalg.euler import u3_params_from_unitary
 from repro.simulators import StatevectorSimulator
 from repro.transpiler import AnalysisCache, write_metrics_json
 from repro.transpiler.passes import ConsolidateBlocks
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from tests.oracles import (
+    serial_block_matrix,
+    serial_run_product,
+    unfused_statevector,
+)
 
 
 def workloads(quick: bool):
@@ -96,10 +108,7 @@ def best_of(repeats: int, func) -> float:
 def bench_consolidation(blocks, cache: AnalysisCache, repeats: int) -> dict:
     def serial():
         for block in blocks:
-            matrix = np.eye(4, dtype=complex)
-            for instruction in block.instructions:
-                local = block.local_wires(instruction)
-                matrix = embed_gate(cache.matrix(instruction.operation), local, 2) @ matrix
+            serial_block_matrix(block, cache)
 
     def batched():
         chains = []
@@ -130,10 +139,7 @@ def bench_consolidation(blocks, cache: AnalysisCache, repeats: int) -> dict:
 def bench_1q_runs(chains, repeats: int) -> dict:
     def serial():
         for chain in chains:
-            matrix = np.eye(2, dtype=complex)
-            for gate in chain:
-                matrix = gate @ matrix
-            u3_params_from_unitary(matrix)
+            u3_params_from_unitary(serial_run_product(chain))
 
     def batched():
         u3_params_batch(chain_products(chains, 2))
@@ -160,18 +166,22 @@ def strip_measurements(circuit):
 
 def bench_fusion(circuits, repeats: int) -> dict:
     circuits = [strip_measurements(circuit) for circuit in circuits]
-    fused = StatevectorSimulator(fusion=True)
-    plain = StatevectorSimulator(fusion=False)
+    fused = StatevectorSimulator()
+    # both arms keep their gate matrices cached across calls
+    plain_cache = AnalysisCache()
 
-    def run(simulator):
+    def plain(circuit):
+        return unfused_statevector(circuit, cache=plain_cache)
+
+    def run(statevector):
         def body():
             for circuit in circuits:
-                simulator.statevector(circuit)
+                statevector(circuit)
 
         return body
 
     plain_time = best_of(repeats, run(plain))
-    fused_time = best_of(repeats, run(fused))
+    fused_time = best_of(repeats, run(fused.statevector))
     return {
         "circuits": len(circuits),
         "serial_s": plain_time,

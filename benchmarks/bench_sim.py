@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Backend-resident simulation + vectorized analysis-core benchmark.
+"""Backend-resident simulation + stacked analysis-core benchmark.
 
 Measures the two lanes of the backend-resident work against the paths
-they replaced, on the quick QV/Grover workload set:
+they replaced, on the quick QV/Grover workload set (the scalar paths are
+the oracles in ``tests/oracles.py``):
 
 * **statevector** -- wide-circuit simulation throughput: the fused
   backend-resident evolve loop (matrices staged once per program, state
@@ -14,12 +15,8 @@ they replaced, on the quick QV/Grover workload set:
   trace through the bulk ``apply_1q_gates`` kernels vs the per-gate
   scalar automata, with parity flags (basis: bit-identical; pure: within
   ``1e-12``).
-* **hoare** -- the vectorized support transformers vs the per-pattern
-  set loops over the full workload circuits, with an output-identity
-  parity flag.
-* **passes** -- QBO/QPO run under scalar and vectorized trackers must
-  emit byte-for-byte identical circuits (``REPRO_SCALAR_TRACKERS`` is
-  flipped between runs).
+* **passes** -- QBO/QPO run over the scalar oracle trackers and over the
+  stacked ones must emit byte-for-byte identical circuits.
 
 Usage::
 
@@ -34,6 +31,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import sys
 import time
 
 import numpy as np
@@ -41,15 +39,21 @@ import numpy as np
 from repro.algorithms import grover_circuit, quantum_volume_circuit
 from repro.linalg.backend import backend_name
 from repro.rpo.basis_tracker import BasisStateTracker
-from repro.rpo.hoare import HoareOptimizer
 from repro.rpo.pure_tracker import PureStateTracker
 from repro.rpo.qbo import QBOPass
 from repro.rpo.qpo import QPOPass
-from repro.rpo.vectorization import SCALAR_ENV_VAR
 from repro.simulators import StatevectorSimulator
 from repro.simulators.statevector import apply_gate_to_state
 from repro.transpiler import write_metrics_json
 from repro.transpiler.passmanager import PropertySet
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from tests.oracles import (
+    ScalarBasisTracker,
+    ScalarPureTracker,
+    scalar_trackers,
+)
 
 
 def workloads(quick: bool):
@@ -117,7 +121,7 @@ def naive_statevector(circuit) -> np.ndarray:
 
 
 def bench_statevector(circuits, repeats: int) -> dict:
-    resident = StatevectorSimulator(fusion=True)
+    resident = StatevectorSimulator()
 
     def naive():
         for circuit in circuits:
@@ -165,16 +169,16 @@ def brickwork_trace(num_qubits: int, rounds: int, matrices, seed: int):
     return [pool[rng.integers(0, len(pool), size=num_qubits)] for _ in range(rounds)], qubits
 
 
-def bench_tracker(make_tracker, layers, qubits, repeats: int, compare) -> dict:
-    def run(vectorized: bool):
-        tracker = make_tracker(vectorized)
+def bench_tracker(scalar_cls, stacked_cls, num_qubits, layers, qubits, repeats, compare):
+    def run(tracker_cls):
+        tracker = tracker_cls(num_qubits)
         for stack in layers:
             tracker.apply_1q_gates(qubits, stack)
         return tracker
 
-    scalar_time = best_of(repeats, lambda: run(False))
-    vectorized_time = best_of(repeats, lambda: run(True))
-    parity, max_error = compare(run(False), run(True))
+    scalar_time = best_of(repeats, lambda: run(scalar_cls))
+    vectorized_time = best_of(repeats, lambda: run(stacked_cls))
+    parity, max_error = compare(run(scalar_cls), run(stacked_cls))
     return {
         "gates": len(layers) * len(qubits),
         "scalar_s": scalar_time,
@@ -200,7 +204,7 @@ def bench_trackers(quick: bool, repeats: int) -> dict:
         return identical, 0.0
 
     basis = bench_tracker(
-        lambda v: BasisStateTracker(num_qubits, vectorized=v),
+        ScalarBasisTracker, BasisStateTracker, num_qubits,
         clifford_layers, qubits, repeats, compare_basis,
     )
 
@@ -218,46 +222,13 @@ def bench_trackers(quick: bool, repeats: int) -> dict:
         return same_known and error <= 1e-12, error
 
     pure = bench_tracker(
-        lambda v: PureStateTracker(num_qubits, vectorized=v),
+        ScalarPureTracker, PureStateTracker, num_qubits,
         u3_layers, qubits, repeats, compare_pure,
     )
     return {"basis": basis, "pure": pure}
 
 
-# -- Hoare + pass parity -----------------------------------------------------
-
-
-def bench_hoare(named, repeats: int) -> dict:
-    # a generous support cap puts real weight on the pattern transformers
-    # (the default 64-pattern cap collapses to TOP before the stacked
-    # kernels can matter); both arms run under the same cap
-    max_support = 1 << 14
-
-    def run(circuits, vectorized: bool):
-        outputs = []
-        for circuit in circuits:
-            optimizer = HoareOptimizer(max_support=max_support, vectorized=vectorized)
-            outputs.append(optimizer.transform(circuit, PropertySet()))
-        return outputs
-
-    # time the permutation-transformer-heavy Grover circuits; QV is
-    # widening-dominated, which runs the same set loops in both arms
-    timed = [circuit for name, circuit in named if name.startswith("grover")]
-    scalar_time = best_of(repeats, lambda: run(timed, False))
-    vectorized_time = best_of(repeats, lambda: run(timed, True))
-    everything = [circuit for _, circuit in named]
-    parity = all(
-        describe(s) == describe(v)
-        for s, v in zip(run(everything, False), run(everything, True))
-    )
-    return {
-        "circuits": len(timed),
-        "parity_circuits": len(everything),
-        "scalar_s": scalar_time,
-        "vectorized_s": vectorized_time,
-        "speedup": scalar_time / vectorized_time if vectorized_time > 0 else float("inf"),
-        "parity": bool(parity),
-    }
+# -- pass parity -------------------------------------------------------------
 
 
 def check_pass_parity(circuits) -> dict:
@@ -271,17 +242,9 @@ def check_pass_parity(circuits) -> dict:
             outputs.append((describe(qbo), describe(qpo)))
         return outputs
 
-    saved = os.environ.get(SCALAR_ENV_VAR)
-    try:
-        os.environ[SCALAR_ENV_VAR] = "1"
+    with scalar_trackers():
         scalar = run_all()
-        os.environ.pop(SCALAR_ENV_VAR, None)
-        vectorized = run_all()
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_ENV_VAR, None)
-        else:
-            os.environ[SCALAR_ENV_VAR] = saved
+    vectorized = run_all()
     qbo_identical = all(s[0] == v[0] for s, v in zip(scalar, vectorized))
     qpo_identical = all(s[1] == v[1] for s, v in zip(scalar, vectorized))
     return {
@@ -303,7 +266,6 @@ def main(argv=None):
 
     statevector = bench_statevector(sim_circuits, args.repeats)
     trackers = bench_trackers(args.quick, args.repeats)
-    hoare = bench_hoare(named, args.repeats)
     passes = check_pass_parity(circuits)
 
     report = {
@@ -312,7 +274,6 @@ def main(argv=None):
         "sim": {
             "statevector": statevector,
             "trackers": trackers,
-            "hoare": hoare,
             "passes": passes,
         },
     }
@@ -326,7 +287,6 @@ def main(argv=None):
          str(trackers["basis"]["parity"])),
         ("tracker:pure", trackers["pure"], "scalar_s", "vectorized_s",
          f"{trackers['pure']['parity']} (err<={trackers['pure']['max_error']:.1e})"),
-        ("hoare", hoare, "scalar_s", "vectorized_s", str(hoare["parity"])),
     ]
     for stage, entry, base_key, new_key, parity in rows:
         work = entry.get("gates", entry.get("circuits"))

@@ -37,12 +37,11 @@ re-bound.
 
 With ``--sim REPORT.json`` (the report written by
 ``bench_sim.py --metrics-json``) the gate checks the **backend-resident
-simulation + vectorized analysis lane**: the fused backend-resident
+simulation + stacked tracker lane**: the fused backend-resident
 statevector must beat the naive per-gate host loop by at least
 ``--sim-min-speedup`` (default 2x), the stacked trackers must agree with
-the scalar automata (basis bit-identical, pure within 1e-12), the
-vectorized Hoare optimizer must emit identical circuits, and the QBO/QPO
-pass outputs must be tracker-implementation-independent.
+the scalar oracle automata (basis bit-identical, pure within 1e-12), and
+the QBO/QPO pass outputs must be tracker-implementation-independent.
 
 Any report flag may be used without the positional table report (the
 server-smoke CI job gates on the server report alone).
@@ -208,8 +207,6 @@ def check_sim(report: dict, min_speedup: float) -> list[str]:
       per-gate host loop by >= ``min_speedup`` and agree to 1e-10;
     * the stacked basis tracker must be bit-identical to the scalar
       automaton and the stacked pure tracker within 1e-12;
-    * the vectorized Hoare optimizer must produce identical circuits
-      and must not be slower than the scalar transformers;
     * QBO/QPO pass outputs must not depend on the tracker implementation.
     """
     failures: list[str] = []
@@ -245,24 +242,12 @@ def check_sim(report: dict, min_speedup: float) -> list[str]:
             f"stacked pure-tracker tuples drifted beyond 1e-12 "
             f"(max error {pure_error})"
         )
-    hoare = sim.get("hoare", {})
-    if not hoare.get("parity"):
-        failures.append(
-            "vectorized Hoare optimizer emitted a different circuit than "
-            "the scalar transformers"
-        )
-    hoare_speedup = hoare.get("speedup")
-    if hoare_speedup is not None and hoare_speedup < 0.9:
-        failures.append(
-            f"vectorized Hoare transformers ({hoare_speedup:.2f}x) are "
-            f"slower than the scalar path"
-        )
     passes = sim.get("passes", {})
     for key in ("qbo_identical", "qpo_identical"):
         if not passes.get(key):
             failures.append(
                 f"{key.split('_')[0].upper()} pass output depends on the "
-                f"tracker implementation (scalar vs vectorized)"
+                f"tracker implementation (scalar oracle vs stacked)"
             )
     return failures
 
@@ -350,7 +335,7 @@ def main(argv=None):
         "--sim",
         metavar="PATH",
         help="bench_sim.py metrics report; enables the backend-resident "
-        "simulation speedup and vectorized-analysis parity gates",
+        "simulation speedup and stacked-tracker parity gates",
     )
     parser.add_argument(
         "--sim-min-speedup",

@@ -745,7 +745,7 @@ class QsanValidator:
             elif tier == "state":
                 from repro.simulators.statevector import StatevectorSimulator
 
-                values[tier] = StatevectorSimulator(fusion=True).statevector(
+                values[tier] = StatevectorSimulator().statevector(
                     _without_measures(circuit)
                 )
             else:

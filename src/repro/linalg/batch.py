@@ -28,9 +28,7 @@ Python dispatch; this module instead operates on **stacked operands** --
   transition, :meth:`repro.rpo.pure_tracker.PureStateTracker.apply_1q_gate`);
 * :func:`bloch_rotation_batch` / :func:`basis_axes_batch` -- stacked
   SO(3) Bloch rotations and signed-axis classification (the basis-state
-  tracker's transition, :func:`repro.rpo.states.transition`);
-* :func:`monomial_permutations_batch` -- generalized-permutation
-  detection for the Hoare optimizer's support transformers.
+  tracker's transition, :func:`repro.rpo.states.transition`).
 
 Inputs are host (NumPy) arrays; the arithmetic dispatches through the
 pluggable array backend (:mod:`repro.linalg.backend` -- NumPy by default,
@@ -64,7 +62,6 @@ __all__ = [
     "apply_1q_batch",
     "bloch_rotation_batch",
     "basis_axes_batch",
-    "monomial_permutations_batch",
 ]
 
 _SWAP = np.array(
@@ -439,23 +436,6 @@ def basis_axes_batch(vectors, atol: float = 1e-8, rtol: float = 1e-5):
     sign = np.where(dominant >= 0, 1, -1)
     known = (np.abs(dominant - sign) <= atol + rtol) & rest_ok
     return np.where(known, axis, -1), np.where(known, sign, 0)
-
-
-def monomial_permutations_batch(stack, tol: float = 1e-10):
-    """Column->row permutations of stacked generalized-permutation matrices.
-
-    The vectorized form of the Hoare optimizer's monomial test: matrix
-    ``i`` is a generalized permutation when every column holds exactly one
-    entry with ``|entry| > tol``.  Returns ``(permutations, valid)`` --
-    an ``(N, d)`` integer array mapping column -> row (rows of invalid
-    matrices are filled with ``-1``) and an ``(N,)`` boolean mask.
-    """
-    magnitude = np.abs(_as_stack(stack))
-    counts = (magnitude > tol).sum(axis=-2)
-    valid = (counts == 1).all(axis=-1)
-    # argmax per column: with exactly one entry above tol it IS that entry
-    permutation = magnitude.argmax(axis=-2)
-    return np.where(valid[..., None], permutation, -1), valid
 
 
 # -- batched Weyl coordinates ------------------------------------------------

@@ -17,8 +17,9 @@ Transitions run through the stacked kernels
 :func:`~repro.linalg.batch.basis_axes_batch`); because a basis vector is a
 signed coordinate axis, the rotated vector is a *column pick* of the SO(3)
 rotation -- bit-identical to the scalar ``rotation @ e_axis`` (the zero
-terms add exactly).  ``vectorized=False`` (or ``REPRO_SCALAR_TRACKERS=1``)
-keeps the original one-call-at-a-time scalar path as a parity reference.
+terms add exactly).  The one-call-at-a-time scalar automaton
+(:func:`repro.rpo.states.transition` per qubit) lives on in the tests as
+the parity oracle.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from repro.rpo.states import (
     TOP,
     BasisState,
     basis_state_of_bloch_tuple,
-    transition,
 )
-from repro.rpo.vectorization import vectorized_default
 
 __all__ = ["BasisStateTracker"]
 
@@ -41,12 +40,11 @@ __all__ = ["BasisStateTracker"]
 class BasisStateTracker:
     """Per-qubit basis-state automaton (Fig. 5), stored as stacked arrays."""
 
-    def __init__(self, num_qubits: int, vectorized: bool | None = None):
+    def __init__(self, num_qubits: int):
         # quantum registers power up in the ground state (Sec. VI-A):
         # axis 2 (+Z) with sign +1 is exactly BasisState.ZERO's encoding
         self.axes = np.full(num_qubits, 2, dtype=np.int8)
         self.signs = np.ones(num_qubits, dtype=np.int8)
-        self.vectorized = vectorized_default() if vectorized is None else vectorized
 
     @property
     def states(self) -> list[BasisState]:
@@ -77,9 +75,6 @@ class BasisStateTracker:
     # ------------------------------------------------------------------
 
     def apply_1q_gate(self, qubit: int, matrix: np.ndarray) -> None:
-        if not self.vectorized:
-            self.set_state(qubit, transition(self.state(qubit), matrix))
-            return
         if self.axes[qubit] < 0:
             return  # TOP is absorbing
         rotation = bloch_rotation_batch(np.asarray(matrix, dtype=complex)[None])[0]
@@ -101,10 +96,6 @@ class BasisStateTracker:
         """
         qubits = np.asarray(qubits, dtype=np.intp)
         stack = np.asarray(matrices, dtype=complex)
-        if not self.vectorized:
-            for qubit, matrix in zip(qubits, stack):
-                self.apply_1q_gate(int(qubit), matrix)
-            return
         if qubits.size == 0:
             return
         known = self.axes[qubits] >= 0
@@ -141,7 +132,7 @@ class BasisStateTracker:
         self.signs[a], self.signs[b] = self.signs[b], self.signs[a]
 
     def copy(self) -> "BasisStateTracker":
-        clone = BasisStateTracker(len(self.axes), vectorized=self.vectorized)
+        clone = BasisStateTracker(len(self.axes))
         clone.axes = self.axes.copy()
         clone.signs = self.signs.copy()
         return clone

@@ -24,17 +24,11 @@ exactly why it misses the boolean-to-phase oracle rewrite that QBO performs
 (paper Sec. VIII-A) -- and the cluster/set machinery makes it measurably
 slower than the automaton-based QBO, reproducing the paper's timing gap.
 
-The support transformers run **vectorized** by default: each cluster's
-pattern set round-trips through an ``int64`` array so the per-pattern bit
-fiddling happens as a handful of NumPy ops instead of a Python loop, and
-the monomial test classifies every distinct matrix of the circuit in one
-:func:`repro.linalg.batch.monomial_permutations_batch` call during a
-prescan.  Sets smaller than :data:`_VECTOR_MIN_PATTERNS` stay on the
-per-pattern loops even in vectorized mode (NumPy's fixed per-call cost
-dominates tiny sets).  ``vectorized=False`` (or
-``REPRO_SCALAR_TRACKERS=1``) keeps the original per-pattern loops
-throughout, which stay in-tree as the parity reference -- both paths
-compute identical supports (integer bit arithmetic is exact).
+The support transformers are plain loops over Python-int pattern sets.
+An ``int64`` array form of the same transformers measured within noise
+of them (1.00-1.07x, about 1.5 ms in all, on the 8-12 qubit Grover
+circuits under a 16k-pattern cap; the pass is about 1% of a Table II
+transpilation), so it was removed.
 """
 
 from __future__ import annotations
@@ -45,50 +39,12 @@ import numpy as np
 
 from repro.circuit.instruction import ControlledGate
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.linalg.batch import monomial_permutations_batch
-from repro.rpo.vectorization import vectorized_default
-from repro.transpiler.cache import AnalysisCache, _matrix_key
+from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
 __all__ = ["HoareOptimizer"]
 
 _DIAGONAL_1Q = {"u1", "z", "s", "sdg", "t", "tdg", "rz"}
-
-#: Gate names the support transformers handle without materialising a
-#: matrix -- the monomial prescan skips these.
-_NAMED_SUPPORT = frozenset(
-    {
-        "mcx", "ccx", "cx", "x",
-        "mcz", "ccz", "cz", "z", "mcu1", "cp", "u1", "s", "sdg", "t", "tdg", "rz",
-        "swap", "swapz", "cswap", "mcx_vchain",
-    }
-)
-
-
-#: Below this many patterns the per-pattern Python loops beat the array
-#: round-trip (measured crossover ~16-32); the vectorized transformers
-#: delegate smaller sets to the scalar reference loops.
-_VECTOR_MIN_PATTERNS = 32
-
-
-def _as_patterns(support: set[int]) -> np.ndarray:
-    """A cluster's support set as an ``int64`` pattern array."""
-    return np.fromiter(support, dtype=np.int64, count=len(support))
-
-
-def _product_size(clusters) -> int:
-    """Upper bound on a merge's cross-product support size."""
-    size = 1
-    for cluster in clusters:
-        size *= len(cluster.support)
-    return size
-
-
-def _as_support(patterns: np.ndarray) -> set[int]:
-    """Back to the set-of-Python-ints representation clusters store."""
-    # .tolist() converts to Python ints at C speed (map(int, ...) is ~4x
-    # slower and would erase most of the kernel win)
-    return set(patterns.tolist())
 
 
 class _Cluster:
@@ -125,15 +81,9 @@ class HoareOptimizer(TransformationPass):
     # removes gates provably acting trivially from the all-zeros state
     equivalence = "state"
 
-    def __init__(
-        self,
-        max_support: int = 64,
-        max_cluster: int = 16,
-        vectorized: bool | None = None,
-    ):
+    def __init__(self, max_support: int = 64, max_cluster: int = 16):
         self.max_support = max_support
         self.max_cluster = max_cluster
-        self.vectorized = vectorized_default() if vectorized is None else vectorized
         # per-run state on a thread-local: concurrent runs of one pass
         # instance must not interleave
         self._run_state = threading.local()
@@ -157,47 +107,12 @@ class HoareOptimizer(TransformationPass):
         self._run_state.cluster_of = {
             q: _Cluster((q,), {0}) for q in range(circuit.num_qubits)
         }
-        self._run_state.monomial_memo = (
-            self._prescan_monomials(circuit) if self.vectorized else {}
-        )
         output = circuit.copy_empty_like()
         for instruction in circuit.data:
             self._process(
                 instruction.operation, instruction.qubits, instruction.clbits, output
             )
         return output
-
-    def _prescan_monomials(self, circuit: QuantumCircuit) -> dict:
-        """Bulk-classify the monomial structure of every matrix-path gate.
-
-        One :func:`monomial_permutations_batch` call per operand dimension
-        replaces the per-gate column loop.  The memo is keyed by matrix
-        identity and keeps a reference to each keyed matrix so ids cannot
-        be recycled; only value-keyable gates join (the analysis cache
-        hands those back as one shared array per distinct gate, so the
-        lookup at process time hits).  Everything else -- ad-hoc
-        ``UnitaryGate`` matrices, gates synthesised by rule recursion --
-        misses the memo and classifies through the early-exit column loop.
-        """
-        by_dim: dict[int, dict[int, np.ndarray]] = {}
-        for instruction in circuit.data:
-            operation = instruction.operation
-            if (
-                not operation.is_gate()
-                or operation.num_qubits > 3
-                or operation.name in _NAMED_SUPPORT
-                or _matrix_key(operation) is None
-            ):
-                continue
-            matrix = self._cache.matrix(operation)
-            by_dim.setdefault(matrix.shape[0], {})[id(matrix)] = matrix
-        memo: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-        for gates in by_dim.values():
-            matrices = list(gates.values())
-            permutations, valid = monomial_permutations_batch(np.stack(matrices))
-            for matrix, permutation, ok in zip(matrices, permutations, valid):
-                memo[id(matrix)] = (matrix, permutation if ok else None)
-        return memo
 
     # ------------------------------------------------------------------
 
@@ -313,17 +228,8 @@ class HoareOptimizer(TransformationPass):
 
     # -- the decision procedure (support transformers) -------------------
 
-    def _use_kernel(self, support) -> bool:
-        """Route this support through the stacked kernels?"""
-        return self.vectorized and len(support) >= _VECTOR_MIN_PATTERNS
-
     def _constant_bit(self, qubit: int) -> int | None:
-        cluster = self._cluster_of[qubit]
-        if cluster.support is None or not self._use_kernel(cluster.support):
-            return cluster.constant_bit(qubit)
-        bits = (_as_patterns(cluster.support) >> cluster.bit_position(qubit)) & 1
-        value = int(bits[0])
-        return value if bool((bits == value).all()) else None
+        return self._cluster_of[qubit].constant_bit(qubit)
 
     def _apply_reset(self, qubit: int) -> None:
         cluster = self._cluster_of[qubit]
@@ -332,11 +238,6 @@ class HoareOptimizer(TransformationPass):
             self._detach(qubit, value=0)
             return
         position = cluster.bit_position(qubit)
-        if self._use_kernel(cluster.support):
-            cluster.support = _as_support(
-                _as_patterns(cluster.support) & ~(1 << position)
-            )
-            return
         cluster.support = {pattern & ~(1 << position) for pattern in cluster.support}
 
     def _detach(self, qubit: int, value: int) -> None:
@@ -362,19 +263,6 @@ class HoareOptimizer(TransformationPass):
             or len(merged_qubits) > self.max_cluster
         ):
             support = None
-        elif self.vectorized and _product_size(clusters) >= _VECTOR_MIN_PATTERNS:
-            # cross-product of the member supports as one broadcast | per
-            # cluster (np.unique dedupes exactly like the set build)
-            patterns = np.zeros(1, dtype=np.int64)
-            offset = 0
-            for cluster in clusters:
-                sub = _as_patterns(cluster.support)
-                patterns = np.unique(patterns[:, None] | (sub[None, :] << offset))
-                offset += len(cluster.qubits)
-                if len(patterns) > self.max_support:
-                    patterns = None
-                    break
-            support = None if patterns is None else _as_support(patterns)
         else:
             support = {0}
             offset = 0
@@ -402,10 +290,6 @@ class HoareOptimizer(TransformationPass):
         cluster = self._merge(qubits)
         if cluster.support is None:
             return
-        # widening stays on the set loops even in vectorized mode: on the
-        # common already-saturated support the per-qubit union is a cheap
-        # incremental no-op, which a materialize-all-then-dedupe kernel
-        # can never beat
         support = cluster.support
         for qubit in qubits:
             position = cluster.bit_position(qubit)
@@ -462,14 +346,6 @@ class HoareOptimizer(TransformationPass):
             return
         control_positions = [cluster.bit_position(c) for c in controls]
         target_position = cluster.bit_position(target)
-        if self._use_kernel(cluster.support):
-            patterns = _as_patterns(cluster.support)
-            control_mask = sum(1 << p for p in control_positions)
-            fires = (patterns & control_mask) == control_mask
-            cluster.support = _as_support(
-                np.where(fires, patterns ^ (1 << target_position), patterns)
-            )
-            return
         new_support = set()
         for pattern in cluster.support:
             if all((pattern >> p) & 1 for p in control_positions):
@@ -477,23 +353,11 @@ class HoareOptimizer(TransformationPass):
             new_support.add(pattern)
         cluster.support = new_support
 
-    @staticmethod
-    def _swap_bits(patterns: np.ndarray, pa: int, pb: int) -> np.ndarray:
-        """Exchange bits ``pa`` and ``pb`` of every stacked pattern."""
-        bit_a = (patterns >> pa) & 1
-        bit_b = (patterns >> pb) & 1
-        cleared = patterns & ~((1 << pa) | (1 << pb))
-        return cleared | (bit_b << pa) | (bit_a << pb)
-
     def _apply_swap(self, a, b) -> None:
         cluster = self._merge([a, b])
         if cluster.support is None:
             return
         pa, pb = cluster.bit_position(a), cluster.bit_position(b)
-        if self._use_kernel(cluster.support):
-            patterns = _as_patterns(cluster.support)
-            cluster.support = _as_support(self._swap_bits(patterns, pa, pb))
-            return
         new_support = set()
         for pattern in cluster.support:
             bit_a = (pattern >> pa) & 1
@@ -509,12 +373,6 @@ class HoareOptimizer(TransformationPass):
             return
         pc = cluster.bit_position(control)
         pa, pb = cluster.bit_position(a), cluster.bit_position(b)
-        if self._use_kernel(cluster.support):
-            patterns = _as_patterns(cluster.support)
-            fires = ((patterns >> pc) & 1).astype(bool)
-            swapped = self._swap_bits(patterns, pa, pb)
-            cluster.support = _as_support(np.where(fires, swapped, patterns))
-            return
         new_support = set()
         for pattern in cluster.support:
             if (pattern >> pc) & 1:
@@ -535,17 +393,10 @@ class HoareOptimizer(TransformationPass):
             return
         self._widen(qubits)
 
-    def _monomial_permutation(self, matrix: np.ndarray):
+    @staticmethod
+    def _monomial_permutation(matrix: np.ndarray):
         """If each column has a single nonzero entry, return the column->row
         permutation (a generalized permutation acts exactly on supports)."""
-        if self.vectorized:
-            memo = getattr(self._run_state, "monomial_memo", None)
-            if memo is not None:
-                hit = memo.get(id(matrix))
-                if hit is not None:
-                    return hit[1]
-            # memo miss (unstable matrix identity): the early-exit column
-            # loop below beats a one-matrix kernel call
         dim = matrix.shape[0]
         permutation = np.full(dim, -1, dtype=int)
         for column in range(dim):
@@ -560,17 +411,6 @@ class HoareOptimizer(TransformationPass):
         if cluster.support is None:
             return
         positions = [cluster.bit_position(q) for q in qubits]
-        if self._use_kernel(cluster.support):
-            patterns = _as_patterns(cluster.support)
-            pos = np.asarray(positions, dtype=np.int64)
-            weights = np.arange(len(positions), dtype=np.int64)
-            # gather the local index, permute, scatter the image back
-            local = (((patterns[:, None] >> pos[None, :]) & 1) << weights).sum(axis=1)
-            image = np.asarray(permutation, dtype=np.int64)[local]
-            cleared = patterns & ~int((np.int64(1) << pos).sum())
-            scattered = (((image[:, None] >> weights) & 1) << pos[None, :]).sum(axis=1)
-            cluster.support = _as_support(cleared | scattered)
-            return
         new_support = set()
         for pattern in cluster.support:
             local = 0

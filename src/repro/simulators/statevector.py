@@ -8,8 +8,7 @@ Circuits are lowered once per call through the gate-fusion pre-step
 (:func:`repro.simulators.fusion.compile_program`): adjacent gates on the
 same qubit (or qubit pair) collapse into single fused matrices and gate
 matrices resolve through the shared analysis cache's standard-gate table
-instead of one ``to_matrix()`` per instruction.  ``fusion=False`` keeps
-the one-step-per-gate program (matrices still come from the cache).
+instead of one ``to_matrix()`` per instruction.
 
 The evolve loop is **backend-resident** (:mod:`repro.linalg.backend`):
 the state tensor is created on the active array backend, gate matrices
@@ -98,13 +97,8 @@ class StatevectorSimulator:
     circuits skip matrix construction entirely.
     """
 
-    def __init__(
-        self,
-        seed: int | np.random.Generator | None = None,
-        fusion: bool = True,
-    ):
+    def __init__(self, seed: int | np.random.Generator | None = None):
         self._rng = as_rng(seed)
-        self.fusion = fusion
         self._cache = AnalysisCache()
 
     def statevector(
@@ -114,7 +108,7 @@ class StatevectorSimulator:
 
         Always a host NumPy array -- the one boundary hop.
         """
-        program = compile_program(circuit, fuse=self.fusion, cache=self._cache)
+        program = compile_program(circuit, cache=self._cache)
         state, _ = self._evolve(program, initial_state, allow_measure=False)
         return get_backend().asnumpy(state)
 
@@ -133,7 +127,7 @@ class StatevectorSimulator:
         from repro.simulators.counts import Counts, sample_counts
 
         backend = get_backend()
-        program = compile_program(circuit, fuse=self.fusion, cache=self._cache)
+        program = compile_program(circuit, cache=self._cache)
         if self._measurements_are_terminal(circuit):
             state, measured = self._evolve(
                 program, initial_state, allow_measure=False, skip_measurements=True

@@ -51,17 +51,16 @@ def _apply_gate_columns(matrix, gate, qargs: tuple[int, ...], num_qubits: int):
     return updated.transpose(inverse).reshape(dim, dim)
 
 
-def circuit_unitary(circuit: QuantumCircuit, fusion: bool = True) -> np.ndarray:
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     """Return the ``2^n x 2^n`` unitary implemented by ``circuit``.
 
     Directives are skipped; measurements and resets raise ``ValueError``.
-    ``fusion=False`` applies one step per gate instead of fused runs.
     Always returns a host NumPy array (the one boundary hop).
     """
     backend = get_backend()
     num_qubits = circuit.num_qubits
     dim = 2**num_qubits
-    program = compile_program(circuit, fuse=fusion)
+    program = compile_program(circuit)
     matrix = backend.xp.eye(dim, dtype=complex)
     for kind, first, second in program.staged(backend):
         if kind != "unitary":

@@ -30,7 +30,10 @@ concurrent runs, so they go into the per-run property set instead (see
 pass to attach rewrite counts to its metrics.
 
 Entry counts are bounded (FIFO eviction) so a cache shared by a long-lived
-service cannot grow without limit.
+service cannot grow without limit.  Inserts, evictions and snapshot
+exports hold the cache's lock, so concurrent runs (a thread pool, a
+serial-mode server's request threads) may share one cache; lookups stay
+lock-free single dictionary reads.
 
 Caches also cross process boundaries: :meth:`AnalysisCache.export_snapshot`
 produces a picklable warm-start snapshot of the value-keyed families
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import warnings
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -106,7 +110,12 @@ def rewrite_counter(property_set) -> Counter:
 
 
 def _bounded_insert(table: dict, key, value, limit: int) -> None:
-    """Insert with FIFO eviction once ``limit`` entries are reached."""
+    """Insert with FIFO eviction once ``limit`` entries are reached.
+
+    Callers hold the owning cache's lock: an unlocked eviction races
+    (two threads pop the same oldest key, or iterate while another
+    inserts).
+    """
     if len(table) >= limit:
         table.pop(next(iter(table)))
     table[key] = value
@@ -180,6 +189,8 @@ class AnalysisCache:
         self._adjacency: dict = {}
         self._wire_indices: dict = {}
         self._dags: dict = {}
+        #: guards every table mutation and snapshot export
+        self._lock = threading.Lock()
         #: keys already shared through import/export -- the delta baseline
         self._shared: dict[str, set] = {
             "matrices": set(),
@@ -193,6 +204,15 @@ class AnalysisCache:
         #: nothing was rejected) -- surfaced by ``CompileService.stats()``
         #: so operators can tell why warm-start did not kick in
         self.snapshot_skipped: str | None = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_lock"]  # a lock cannot cross the process boundary
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     @classmethod
     def ensure(cls, property_set) -> "AnalysisCache":
@@ -234,7 +254,8 @@ class AnalysisCache:
         matrix = operation.to_matrix()
         if matrix.flags.writeable:
             matrix.setflags(write=False)
-        _bounded_insert(self._matrices, key, matrix, _MAX_MATRICES)
+        with self._lock:
+            _bounded_insert(self._matrices, key, matrix, _MAX_MATRICES)
         return matrix
 
     def matrices(self, operations) -> list[np.ndarray]:
@@ -294,7 +315,8 @@ class AnalysisCache:
             return cached
         self.stats["adjacency_misses"] += 1
         result = same_pair_adjacent_indices(circuit)
-        _bounded_insert(self._adjacency, key, result, _MAX_CIRCUIT_VIEWS)
+        with self._lock:
+            _bounded_insert(self._adjacency, key, result, _MAX_CIRCUIT_VIEWS)
         return result
 
     def wire_indices(self, circuit: "QuantumCircuit") -> dict[int, list[int]]:
@@ -309,7 +331,8 @@ class AnalysisCache:
         for index, instruction in enumerate(circuit.data):
             for qubit in instruction.qubits:
                 wires[qubit].append(index)
-        _bounded_insert(self._wire_indices, key, wires, _MAX_CIRCUIT_VIEWS)
+        with self._lock:
+            _bounded_insert(self._wire_indices, key, wires, _MAX_CIRCUIT_VIEWS)
         return wires
 
     def dag(self, circuit: "QuantumCircuit"):
@@ -327,7 +350,8 @@ class AnalysisCache:
             return cached[1]
         self.stats["dag_misses"] += 1
         dag = circuit_to_dag(circuit)
-        _bounded_insert(self._dags, key, (circuit, dag), _MAX_CIRCUIT_VIEWS)
+        with self._lock:
+            _bounded_insert(self._dags, key, (circuit, dag), _MAX_CIRCUIT_VIEWS)
         return dag
 
     # -- warm-start snapshots ----------------------------------------------
@@ -358,18 +382,19 @@ class AnalysisCache:
         cache entries.
         """
         snapshot: dict = {"version": self.SNAPSHOT_VERSION}
-        for family in self._SNAPSHOT_FAMILIES:
-            table = self._family_table(family)
-            shared = self._shared[family]
+        with self._lock:
+            for family in self._SNAPSHOT_FAMILIES:
+                table = self._family_table(family)
+                shared = self._shared[family]
+                if delta_only:
+                    entries = {k: v for k, v in table.items() if k not in shared}
+                else:
+                    entries = dict(table)
+                shared.update(entries)
+                snapshot[family] = entries
             if delta_only:
-                entries = {k: v for k, v in table.items() if k not in shared}
-            else:
-                entries = dict(table)
-            shared.update(entries)
-            snapshot[family] = entries
-        if delta_only:
-            snapshot["stats"] = dict(self.stats - self._stats_exported)
-            self._stats_exported = Counter(self.stats)
+                snapshot["stats"] = dict(self.stats - self._stats_exported)
+                self._stats_exported = Counter(self.stats)
         return snapshot
 
     def import_snapshot(self, snapshot: dict) -> int:
@@ -412,17 +437,18 @@ class AnalysisCache:
         }
         adopted = 0
         self.stats.update(snapshot.get("stats", {}))
-        for family in self._SNAPSHOT_FAMILIES:
-            table = self._family_table(family)
-            shared = self._shared[family]
-            for key, value in snapshot.get(family, {}).items():
-                shared.add(key)
-                if key in table:
-                    continue
-                if family == "matrices" and value.flags.writeable:
-                    value.setflags(write=False)  # pickling re-enables writes
-                _bounded_insert(table, key, value, limits[family])
-                adopted += 1
+        with self._lock:
+            for family in self._SNAPSHOT_FAMILIES:
+                table = self._family_table(family)
+                shared = self._shared[family]
+                for key, value in snapshot.get(family, {}).items():
+                    shared.add(key)
+                    if key in table:
+                        continue
+                    if family == "matrices" and value.flags.writeable:
+                        value.setflags(write=False)  # pickling re-enables writes
+                    _bounded_insert(table, key, value, limits[family])
+                    adopted += 1
         self.stats["snapshot_imports"] += 1
         self.stats["snapshot_entries_adopted"] += adopted
         return adopted

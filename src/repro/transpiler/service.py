@@ -368,10 +368,10 @@ class CompileService:
             result_cache: the content-addressed compiled-result cache
                 consulted before any job reaches the pool
                 (:class:`~repro.transpiler.result_cache.ResultCache`).
-                ``None`` (the default) creates a fresh one -- the service
-                caches answers out of the box; pass ``False`` to disable
-                result caching entirely, or share one cache object across
-                services.
+                ``None`` (the default) or ``True`` creates a fresh one --
+                the service caches answers out of the box; pass ``False``
+                to disable result caching entirely, or share one cache
+                object across services.
             snapshot_path: disk location for cache persistence -- imported
                 (if present and version-compatible) at construction,
                 written back on :meth:`shutdown`.  The result cache
@@ -423,10 +423,10 @@ class CompileService:
         )
         if result_cache is False or opts.result_cache is False:
             self.result_cache: ResultCache | None = None
-        elif opts.result_cache is not None:
-            self.result_cache = opts.result_cache
-        else:
+        elif opts.result_cache is None or opts.result_cache is True:
             self.result_cache = ResultCache()
+        else:
+            self.result_cache = opts.result_cache
         self._defaults = {
             "pipeline": opts.pipeline if opts.pipeline is not None else "preset",
             "optimization_level": (

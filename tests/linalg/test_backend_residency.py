@@ -7,6 +7,13 @@ cross to the host through exactly one ``asnumpy()`` hop at the boundary.
 On plain NumPy a violation is invisible (every array is a host array), so
 these tests install :class:`~repro.linalg.instrument.InstrumentedBackend`
 and assert its transfer counters.
+
+Fusion builds its fused matrices host-side at compile time, through the
+stacked chain kernels, which pay their own upload/download hops.
+:func:`compile_hops` measures those on their own, so each test can pin the
+evolve loop's transfers exactly on top of them.  Staging is checked on the
+one-step-per-gate oracle program from :mod:`tests.oracles`, whose matrices
+are plain host arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.simulators import (
 )
 from repro.simulators.fusion import compile_program
 from tests.helpers import random_circuit
+from tests.oracles import unfused_program
 
 
 @pytest.fixture()
@@ -37,60 +45,61 @@ def unitary_steps(program) -> int:
     return sum(1 for kind, *_ in program.steps if kind == "unitary")
 
 
-class TestStatevectorResidency:
-    def test_unfused_run_is_one_download(self, fake):
-        """One upload per gate matrix, one boundary hop, no leaks."""
-        circuit = random_circuit(4, 20, seed=1)
-        program = compile_program(circuit, fuse=False)
-        fake.log.reset()
-        state = StatevectorSimulator(fusion=False).statevector(circuit)
-        assert type(state).__module__ == "numpy"
-        assert fake.log.downloads == 1
-        assert fake.log.foreign_downloads == 0
-        assert fake.log.uploads == unitary_steps(program)
+def compile_hops(fake, circuit):
+    """``(uploads, downloads, program)`` of compiling ``circuit`` alone."""
+    fake.log.reset()
+    program = compile_program(circuit)
+    return fake.log.uploads, fake.log.downloads, program
 
-    def test_fused_run_stays_at_the_boundary(self, fake):
-        """Fusion's stacked chain kernel adds its own host hop (the fused
-        matrices are built host-side at compile time), but the evolve loop
-        itself still pays exactly one boundary download and nothing leaks."""
+
+class TestStatevectorResidency:
+    def test_run_is_one_download(self, fake):
+        """One upload per fused step, one boundary hop, no leaks."""
         circuit = random_circuit(4, 20, seed=1)
+        uploads, downloads, program = compile_hops(fake, circuit)
         fake.log.reset()
-        simulator = StatevectorSimulator(fusion=True)
-        simulator.statevector(circuit)
+        state = StatevectorSimulator().statevector(circuit)
+        assert type(state).__module__ == "numpy"
+        assert fake.log.downloads == downloads + 1
         assert fake.log.foreign_downloads == 0
-        compile_downloads = fake.log.downloads - 1
-        assert 0 <= compile_downloads <= 2
-        program = compile_program(circuit, fuse=True, cache=simulator._cache)
-        assert fake.log.uploads >= unitary_steps(program)
+        assert fake.log.uploads == uploads + unitary_steps(program)
+
+    def test_compile_hops_stay_bounded(self, fake):
+        """The chain kernels' own host hops: at most one per arity."""
+        _, downloads, _ = compile_hops(fake, random_circuit(4, 20, seed=1))
+        assert 0 <= downloads <= 2
+        assert fake.log.foreign_downloads == 0
 
     def test_trajectories_share_one_staged_program(self, fake):
         """Mid-circuit shots re-use the staged device matrices: uploads
-        stay at one-per-gate no matter the shot count, and collapsing
+        stay at one-per-step no matter the shot count, and collapsing
         trajectories sync only scalar branch probabilities (zero array
-        downloads)."""
+        downloads beyond compiling)."""
         circuit = random_circuit(3, 10, seed=3, measure=True)
         circuit.h(0)
         circuit.measure(0, 0)
-        program = compile_program(circuit, fuse=False)
-        fake.log.reset()
-        StatevectorSimulator(seed=11, fusion=False).run(circuit, shots=16)
-        assert fake.log.uploads == unitary_steps(program)
-        assert fake.log.downloads == 0
-        assert fake.log.foreign_downloads == 0
+        uploads, downloads, program = compile_hops(fake, circuit)
+        for shots in (1, 16):
+            fake.log.reset()
+            StatevectorSimulator(seed=11).run(circuit, shots=shots)
+            assert fake.log.uploads == uploads + unitary_steps(program)
+            assert fake.log.downloads == downloads
+            assert fake.log.foreign_downloads == 0
 
     def test_terminal_sampling_downloads_one_distribution(self, fake):
         """The terminal-measurement fast path downloads the outcome
         distribution once; the state itself never crosses."""
         circuit = random_circuit(3, 10, seed=4, measure=True)
+        _, downloads, _ = compile_hops(fake, circuit)
         fake.log.reset()
-        StatevectorSimulator(seed=3, fusion=False).run(circuit, shots=64)
-        assert fake.log.downloads == 1
+        StatevectorSimulator(seed=3).run(circuit, shots=64)
+        assert fake.log.downloads == downloads + 1
         assert fake.log.foreign_downloads == 0
 
 
 class TestStagedProgramCache:
     def test_staged_uploads_once_and_caches_by_backend(self, fake):
-        program = compile_program(random_circuit(4, 20, seed=1), fuse=False)
+        program = unfused_program(random_circuit(4, 20, seed=1))
         count = unitary_steps(program)
         fake.log.reset()
         first = program.staged(fake)
@@ -102,7 +111,7 @@ class TestStagedProgramCache:
                 assert isinstance(matrix, DeviceNDArray)
 
     def test_backend_switch_invalidates_staged(self, fake):
-        program = compile_program(random_circuit(3, 10, seed=2), fuse=False)
+        program = unfused_program(random_circuit(3, 10, seed=2))
         program.staged(fake)
         other = InstrumentedBackend()
         set_backend(other)
@@ -113,9 +122,11 @@ class TestStagedProgramCache:
 
 class TestOtherSimulatorsResidency:
     def test_unitary_is_one_download(self, fake):
+        circuit = random_circuit(3, 10, seed=2)
+        _, downloads, _ = compile_hops(fake, circuit)
         fake.log.reset()
-        circuit_unitary(random_circuit(3, 10, seed=2), fusion=False)
-        assert fake.log.downloads == 1
+        circuit_unitary(circuit)
+        assert fake.log.downloads == downloads + 1
         assert fake.log.foreign_downloads == 0
 
     def test_density_matrix_is_one_download(self, fake):

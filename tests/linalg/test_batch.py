@@ -32,7 +32,6 @@ from repro.linalg.batch import (
     is_identity_up_to_phase_batch,
     is_unitary_batch,
     kron_batch,
-    monomial_permutations_batch,
     permute_2q,
     reduce_matmul,
     stack_chains,
@@ -332,36 +331,6 @@ class TestTrackerKernels:
                     assert axes[i] == -1 and signs[i] == 0
                 else:
                     assert axes[i] == state.axis and signs[i] == state.sign
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds, count=st.integers(1, 8), dim=st.sampled_from([2, 4, 8]))
-    def test_monomial_permutations_batch(self, seed, count, dim):
-        rng = np.random.default_rng(seed)
-        stack = np.empty((count, dim, dim), dtype=complex)
-        expected = np.full((count, dim), -1, dtype=np.int64)
-        expected_valid = np.zeros(count, dtype=bool)
-        for i in range(count):
-            if rng.random() < 0.5:
-                permutation = rng.permutation(dim)
-                phases = np.exp(2j * np.pi * rng.uniform(size=dim))
-                matrix = np.zeros((dim, dim), dtype=complex)
-                matrix[permutation, np.arange(dim)] = phases
-                stack[i] = matrix
-                expected[i] = permutation
-                expected_valid[i] = True
-            else:
-                stack[i] = random_unitary(dim, seed * 100 + i) @ (
-                    np.eye(dim) + 0.5
-                )
-        permutations, valid = monomial_permutations_batch(stack)
-        assert np.array_equal(valid, expected_valid)
-        assert np.array_equal(permutations[expected_valid], expected[expected_valid])
-        assert (permutations[~expected_valid] == -1).all()
-
-    def test_monomial_empty_stack(self):
-        permutations, valid = monomial_permutations_batch(np.empty((0, 2, 2)))
-        assert permutations.shape == (0, 2)
-        assert valid.shape == (0,)
 
 
 class TestBackendSelection:

@@ -7,7 +7,8 @@ still NumPy underneath, so every result -- statevectors, unitaries,
 density-matrix distributions, and even fixed-seed sampled counts (the
 host RNG sees bit-identical probabilities) -- must match the plain NumPy
 backend exactly.  A divergence means some code path silently depends on
-which backend the arrays live on.
+which backend the arrays live on.  The fused results are also held to the
+one-step-per-gate oracle in :mod:`tests.oracles` within ``1e-12``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.simulators import (
     circuit_unitary,
 )
 from tests.helpers import random_circuit
+from tests.oracles import unfused_statevector, unfused_unitary
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -51,15 +53,15 @@ def on_fake_backend(func):
 
 class TestStatevectorParity:
     @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, fusion=st.booleans())
-    def test_statevector_bit_identical(self, seed, fusion):
+    @given(seed=seeds)
+    def test_statevector_bit_identical(self, seed):
         circuit = random_circuit(4, 25, seed=seed)
-        host = StatevectorSimulator(fusion=fusion).statevector(circuit)
-        device = on_fake_backend(
-            lambda: StatevectorSimulator(fusion=fusion).statevector(circuit)
-        )
+        host = StatevectorSimulator().statevector(circuit)
+        device = on_fake_backend(lambda: StatevectorSimulator().statevector(circuit))
         assert type(device) is np.ndarray
         assert np.array_equal(host, device)
+        oracle = on_fake_backend(lambda: unfused_statevector(circuit))
+        assert np.abs(device - oracle).max() <= 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds)
@@ -84,13 +86,15 @@ class TestStatevectorParity:
 
 class TestUnitaryParity:
     @settings(max_examples=15, deadline=None)
-    @given(seed=seeds, fusion=st.booleans())
-    def test_circuit_unitary_bit_identical(self, seed, fusion):
+    @given(seed=seeds)
+    def test_circuit_unitary_bit_identical(self, seed):
         circuit = random_circuit(3, 15, seed=seed)
-        host = circuit_unitary(circuit, fusion=fusion)
-        device = on_fake_backend(lambda: circuit_unitary(circuit, fusion=fusion))
+        host = circuit_unitary(circuit)
+        device = on_fake_backend(lambda: circuit_unitary(circuit))
         assert type(device) is np.ndarray
         assert np.array_equal(host, device)
+        oracle = on_fake_backend(lambda: unfused_unitary(circuit))
+        assert np.abs(device - oracle).max() <= 1e-12
 
 
 class TestDensityMatrixParity:

@@ -1,4 +1,8 @@
-"""Tests for the simulators' gate-fusion pre-step."""
+"""Tests for the simulators' gate-fusion pre-step.
+
+Fused evolution is held to the one-step-per-gate oracle in
+:mod:`tests.oracles` within ``1e-12``.
+"""
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from repro.simulators import (
 )
 
 from tests.helpers import random_circuit
+from tests.oracles import unfused_program, unfused_statevector, unfused_unitary
 
 
 class TestCompileProgram:
@@ -32,12 +37,15 @@ class TestCompileProgram:
         assert matrix.shape == (4, 4)
         assert qargs == (0, 1)
 
-    def test_fuse_false_is_one_step_per_gate(self):
+    def test_fusion_folds_gates_the_oracle_keeps_apart(self):
         circuit = random_circuit(3, 25, seed=5)
-        program = compile_program(circuit, fuse=False)
-        assert program.num_gates == program.num_unitaries == len(
-            [s for s in program.steps if s[0] == "unitary"]
+        fused = compile_program(circuit)
+        oracle = unfused_program(circuit)
+        assert oracle.num_gates == oracle.num_unitaries == len(
+            [s for s in oracle.steps if s[0] == "unitary"]
         )
+        assert fused.num_gates == oracle.num_gates
+        assert fused.num_unitaries < oracle.num_unitaries
 
     def test_one_qubit_runs_fuse(self):
         circuit = QuantumCircuit(1)
@@ -87,15 +95,15 @@ class TestFusedEvolutionParity:
     @pytest.mark.parametrize("seed", range(10))
     def test_statevector_matches_unfused(self, seed):
         circuit = random_circuit(4, 30, seed=seed)
-        fused = StatevectorSimulator(fusion=True).statevector(circuit)
-        plain = StatevectorSimulator(fusion=False).statevector(circuit)
+        fused = StatevectorSimulator().statevector(circuit)
+        plain = unfused_statevector(circuit)
         assert np.abs(fused - plain).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_circuit_unitary_matches_unfused(self, seed):
         circuit = random_circuit(3, 20, seed=seed + 50)
-        fused = circuit_unitary(circuit, fusion=True)
-        plain = circuit_unitary(circuit, fusion=False)
+        fused = circuit_unitary(circuit)
+        plain = unfused_unitary(circuit)
         assert np.abs(fused - plain).max() < 1e-12
 
     def test_global_phase_preserved(self):
@@ -110,8 +118,8 @@ class TestFusedEvolutionParity:
         circuit.x(0)
         circuit.reset(0)
         circuit.h(1)
-        fused = StatevectorSimulator(seed=0, fusion=True).statevector(circuit)
-        plain = StatevectorSimulator(seed=0, fusion=False).statevector(circuit)
+        fused = StatevectorSimulator(seed=0).statevector(circuit)
+        plain = unfused_statevector(circuit, seed=0)
         assert np.abs(fused - plain).max() < 1e-12
 
     def test_terminal_sampling(self):

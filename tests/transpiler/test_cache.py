@@ -141,6 +141,56 @@ class TestCircuitViews:
         assert cache.stats["dag_misses"] == 1
 
 
+class TestConcurrentSharing:
+    """One cache shared by concurrent runs (a thread pool, or the request
+    threads of a serial-mode server) must survive eviction under load."""
+
+    def test_eviction_is_thread_safe(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.transpiler import cache as cache_module
+
+        # a tiny cap puts every insert on the eviction path
+        monkeypatch.setattr(cache_module, "_MAX_MATRICES", 8)
+        cache = AnalysisCache()
+        errors: list[BaseException] = []
+        start = threading.Barrier(4)
+
+        def hammer(worker: int) -> None:
+            start.wait()
+            try:
+                for index in range(2000):
+                    cache.matrix(U3Gate(0.001 * index, float(worker), 0.0))
+                    if index % 50 == 0:
+                        cache.export_snapshot(delta_only=True)
+            except Exception as exc:  # KeyError / RuntimeError before the lock
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(cache._matrices) <= 8
+
+    def test_pickled_cache_gets_a_fresh_lock(self):
+        import pickle
+
+        cache = AnalysisCache()
+        cache.matrix(U3Gate(0.1, 0.2, 0.3))
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone._lock is not cache._lock
+        clone.matrix(U3Gate(0.4, 0.5, 0.6))
+        assert len(clone._matrices) == 2
+
+
 class TestWarmStartSnapshots:
     def _warm_cache(self):
         cache = AnalysisCache()

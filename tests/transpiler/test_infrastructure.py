@@ -91,8 +91,8 @@ class TestPassManager:
                 return circuit
 
         pm = PassManager([Noop()])
-        pm.run(QuantumCircuit(1))
-        names = [name for name, _ in pm.property_set["pass_times"]]
+        properties = pm.run_with_result(QuantumCircuit(1)).properties
+        names = [name for name, _ in properties["pass_times"]]
         assert names == ["Noop"]
 
     def test_do_while_runs_until_condition(self):
@@ -106,8 +106,7 @@ class TestPassManager:
             [CountDown()], do_while=lambda ps: ps["n"] > 0
         )
         pm = PassManager([controller])
-        pm.run(QuantumCircuit(1))
-        assert pm.property_set["n"] == 0
+        assert pm.run_with_result(QuantumCircuit(1)).properties["n"] == 0
 
     def test_do_while_respects_max_iterations(self):
         class Forever(AnalysisPass):
@@ -120,8 +119,7 @@ class TestPassManager:
             [Forever()], do_while=lambda ps: True, max_iterations=4
         )
         pm = PassManager([controller])
-        pm.run(QuantumCircuit(1))
-        assert pm.property_set["count"] == 4
+        assert pm.run_with_result(QuantumCircuit(1)).properties["count"] == 4
 
 
 class TestLayoutPasses:

@@ -262,35 +262,3 @@ class TestConcurrency:
         sequential = transpile([circuit.copy() for _ in range(4)], max_workers=1, **kwargs)
         parallel = transpile([circuit.copy() for _ in range(4)], max_workers=4, **kwargs)
         assert total(sequential) == total(parallel) > 0
-
-    def test_property_set_alias_deprecated(self):
-        from repro.transpiler import passmanager as pm_module
-
-        pm = PassManager([Noop()])
-        pm.run(QuantumCircuit(1))
-        pm_module._PROPERTY_SET_DEPRECATION_EMITTED = False
-        with pytest.warns(DeprecationWarning):
-            properties = pm.property_set
-        assert "pass_times" in properties
-
-    def test_property_set_warning_fires_once_per_process(self):
-        """Regression test: the alias warns once per process, not per run.
-
-        The alias sits on hot serving paths; per-run warnings flooded logs
-        even for callers that never read it.
-        """
-        import warnings
-
-        from repro.transpiler import passmanager as pm_module
-
-        pm = PassManager([Noop()])
-        pm_module._PROPERTY_SET_DEPRECATION_EMITTED = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                pm.run(QuantumCircuit(1))
-                _ = pm.property_set
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1

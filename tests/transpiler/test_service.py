@@ -682,6 +682,27 @@ class TestServiceResultCache:
         assert stats["result_cache_hits"] == 0
         assert stats["result_cache"] is None
 
+    @pytest.mark.parametrize("spelling", ["keyword", "options"])
+    def test_result_cache_true_means_a_fresh_cache(self, melbourne, spelling):
+        """Regression: ``result_cache=True`` used to construct fine and
+        then fail at the first ``map()`` (``'bool' object has no attribute
+        'lookup'``); it now resolves at construction to the same fresh
+        cache the default gives."""
+        from repro.transpiler import ResultCache
+        from repro.transpiler.options import CompileOptions
+
+        kwargs = (
+            {"result_cache": True}
+            if spelling == "keyword"
+            else {"options": CompileOptions(result_cache=True)}
+        )
+        batch = self._batch(2)
+        with CompileService(mode="serial", pipeline="level1", **kwargs) as service:
+            assert isinstance(service.result_cache, ResultCache)
+            service.map(batch, targets=melbourne.target(), seeds=[0, 0])
+            service.map(batch, targets=melbourne.target(), seeds=[0, 0])
+            assert service.stats()["result_cache_hits"] == 2
+
     def test_initial_layout_jobs_bypass_the_cache(self, melbourne):
         from repro.transpiler import Layout
 
