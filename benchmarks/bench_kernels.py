@@ -67,7 +67,7 @@ def collect_blocks(circuits) -> list:
     collector = ConsolidateBlocks()
     blocks = []
     for circuit in circuits:
-        for kind, payload, _, _ in collector.collect(circuit):
+        for kind, payload in collector.collect(circuit):
             if kind == "block":
                 blocks.append(payload)
     return blocks

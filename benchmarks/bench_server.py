@@ -25,6 +25,13 @@ A final (informative, ungated) section fans the batch across two
 loopback shards through a :class:`~repro.server.ShardRouter` and prints
 the affinity routing table.
 
+Every server this script starts has its result cache off.  The sections
+replay one batch against the same server, so with the cache on the
+remote runs would be answered from it and would not compile at all.
+Each section prints its cache configuration and the result-cache hits it
+saw; the metrics report carries the hit counts and
+``check_regression.py --server`` fails on any.
+
 Usage::
 
     python benchmarks/bench_server.py [--quick] [--circuits N]
@@ -69,6 +76,31 @@ def assert_identical(reference, candidates, label):
             )
 
 
+#: every server is started with these service settings
+CACHE_SETTINGS = {"result_cache": False}
+
+
+def result_cache_hits(*servers) -> int:
+    """Exact plus template result-cache hits the servers' services served."""
+    total = 0
+    for server in servers:
+        stats = server.service.stats()
+        total += stats["result_cache_hits"] + stats["result_cache_template_hits"]
+    return total
+
+
+def report_cache(section: str, servers, hits_before: int) -> int:
+    """Print a section's cache configuration and hits; return the hits."""
+    hits = result_cache_hits(*servers) - hits_before
+    config = ", ".join(
+        "result cache on" if server.service.result_cache is not None
+        else "result cache off"
+        for server in servers
+    )
+    print(f"  {section}: {config}; result-cache hits {hits}")
+    return hits
+
+
 def measure_inprocess(server, circuits, seeds, target):
     start = time.perf_counter()
     results = server.service.map(
@@ -93,11 +125,12 @@ def measure_remote(endpoint, circuits, seeds, target, chunk_size):
 
 def measure_sharded(circuits, seeds, target, pipeline):
     """Two loopback shards, one router; informative only."""
-    with CompileServer(mode="serial", pipeline=pipeline) as s1, CompileServer(
-        mode="serial", pipeline=pipeline
-    ) as s2:
+    with CompileServer(
+        mode="serial", pipeline=pipeline, **CACHE_SETTINGS
+    ) as s1, CompileServer(mode="serial", pipeline=pipeline, **CACHE_SETTINGS) as s2:
         s1.start()
         s2.start()
+        hits_before = result_cache_hits(s1, s2)
         targets = [
             target if index % 2 == 0 else Target.preset("linear:3")
             for index in range(len(circuits))
@@ -111,7 +144,8 @@ def measure_sharded(circuits, seeds, target, pipeline):
             )
             wall = time.perf_counter() - start
             stats = router.stats()
-    return wall, stats
+        hits = report_cache("sharded", (s1, s2), hits_before)
+    return wall, stats, hits
 
 
 def main(argv=None):
@@ -155,19 +189,31 @@ def main(argv=None):
         f"server mode={args.mode!r}"
     )
 
-    with CompileServer(mode=args.mode, pipeline=args.pipeline) as server:
+    hits: dict[str, int] = {"remote_per_circuit": 0, "remote_chunked": 0}
+    with CompileServer(
+        mode=args.mode, pipeline=args.pipeline, **CACHE_SETTINGS
+    ) as server:
         server.start()
         print(f"loopback server on {server.endpoint}")
+        cache_enabled = server.service.result_cache is not None
 
+        before = result_cache_hits(server)
         inproc_wall, reference = measure_inprocess(server, circuits, seeds, target)
+        hits["inprocess"] = report_cache("in-process service", [server], before)
 
         def remote_pair():
+            before = result_cache_hits(server)
             per_wall, per_out, per_requests = measure_remote(
                 server.endpoint, circuits, seeds, target, chunk_size=1
             )
+            hits["remote_per_circuit"] += report_cache(
+                "remote, 1 req/circuit", [server], before
+            )
+            before = result_cache_hits(server)
             chunk_wall, chunk_out, chunk_requests = measure_remote(
                 server.endpoint, circuits, seeds, target, chunk_size="auto"
             )
+            hits["remote_chunked"] += report_cache("remote, chunked", [server], before)
             return (per_wall, per_out, per_requests), (
                 chunk_wall,
                 chunk_out,
@@ -216,7 +262,7 @@ def main(argv=None):
         ],
     )
 
-    shard_wall, shard_stats = measure_sharded(
+    shard_wall, shard_stats, hits["sharded"] = measure_sharded(
         circuits[: max(10, num_circuits // 5)],
         seeds[: max(10, num_circuits // 5)],
         target,
@@ -246,6 +292,7 @@ def main(argv=None):
                     "per_circuit": per_requests,
                     "chunked": chunk_requests,
                 },
+                "result_cache": {"enabled": cache_enabled, "hits": hits},
             },
         )
         print(f"metrics written to {args.metrics_json}")

@@ -20,7 +20,9 @@ With ``--server REPORT.json`` (the report written by
 path**: loopback-remote chunked throughput must stay within
 ``--server-wire-tolerance`` (default 1.0, i.e. within 2x) of the
 in-process service, and chunked dispatch must beat
-one-request-per-circuit.
+one-request-per-circuit.  Every section must have compiled: a report
+with the result cache on, or with any result-cache hit, fails, because
+a hit measures the cache instead of the wire.
 
 With ``--kernels REPORT.json`` (the report written by
 ``bench_kernels.py --metrics-json``) the gate checks the **batched
@@ -109,9 +111,26 @@ def check_server_throughput(report: dict, wire_tolerance: float) -> list[str]:
     * chunked dispatch must beat one-request-per-circuit (the whole point
       of chunked job envelopes);
     * loopback-remote chunked wall must be <= in-process service wall *
-      (1 + wire_tolerance) -- the wire tax is bounded (2x by default).
+      (1 + wire_tolerance) -- the wire tax is bounded (2x by default);
+    * no section may be answered from the result cache: the report must
+      record the cache off and zero hits in every section.
     """
     failures: list[str] = []
+    cache = report.get("result_cache")
+    if not isinstance(cache, dict) or "hits" not in cache:
+        failures.append(
+            "server report lacks result-cache hit counts; run bench_server.py "
+            "with --metrics-json"
+        )
+    else:
+        if cache.get("enabled", True):
+            failures.append("server report was measured with the result cache on")
+        for section, hits in sorted(cache["hits"].items()):
+            if hits:
+                failures.append(
+                    f"{section}: {hits} result-cache hits; the section timed "
+                    "cached answers, not compiles over the wire"
+                )
     walls = report.get("wall_times", {})
     inprocess = walls.get("inprocess")
     chunked = walls.get("remote_chunked")

@@ -6,7 +6,8 @@ every pipeline run it watches: after each transformation pass it verifies
 the pass's input and output are equivalent under the pass's declared
 ``equivalence`` contract, and audits that the pass's scheduling metadata
 (``preserves``/``invalidates``/``provides``/``writes``) told the truth
-about what it did to the property set.  A pass caught lying raises a
+about what it did to the property set, and that every instruction of the
+pass's output sits on valid wires.  A pass caught lying raises a
 structured :class:`ContractViolation` naming the pass, the property (when
 one is implicated) and a circuit diff.
 
@@ -21,7 +22,8 @@ Enabling it
   environment -- this is how CI runs the tier-1 pipeline suite under the
   sanitizer without touching call sites.
 
-``REPRO_QSAN_REPORT=1`` records violations on
+``REPRO_QSAN_REPORT=1`` records violations (all but ``"wires"``, which
+leave nothing a later pass could run on) on
 ``TranspileResult.violations`` (and in per-pass metrics) instead of
 raising.  ``REPRO_QSAN_UNITARY_CAP`` / ``REPRO_QSAN_STATE_CAP`` move the
 width thresholds below.
@@ -47,6 +49,17 @@ allows:
 Circuits carrying ``ANNOT`` promises are checked at the fingerprint tier
 regardless of width: the trackers honor annotations exactly the way the
 paper's passes do, while a raw simulation from ``|0...0>`` would not.
+
+Wire check
+==========
+
+Passes emit through :meth:`QuantumCircuit._append`, which trusts its
+caller and skips the checks of the public ``append``.  Both modes
+therefore check every rewritten output: each instruction's qubits and
+clbits must be a tuple of ``int``, in range, free of duplicates and as
+many as the operation takes.  A miss raises ``ContractViolation(kind=
+"wires")`` even in report mode, before the semantic check, which could
+not simulate such a circuit.
 
 The relaxed contracts ("state", "permutation", "layout", "measurement")
 exist because most pipeline passes are *not* unitary-equivalent rewrites:
@@ -98,8 +111,8 @@ class ContractViolation(TranspilerError):
 
     Attributes:
         kind: violation family -- ``"equivalence"``, ``"false-preserves"``,
-            ``"undeclared-write"``, ``"undeclared-clobber"`` or
-            ``"analysis-mutation"``.
+            ``"undeclared-write"``, ``"undeclared-clobber"``,
+            ``"analysis-mutation"`` or ``"wires"``.
         pass_name: the offending pass.
         property_name: the implicated property (``None`` for semantic
             violations).
@@ -209,6 +222,31 @@ def circuit_diff(before: QuantumCircuit, after: QuantumCircuit, limit: int = 10)
             parts.append("  ...")
             break
     return "\n".join(parts)
+
+
+def _wire_problem(circuit: QuantumCircuit) -> str | None:
+    """What is wrong with the first instruction on invalid wires, if any.
+
+    The promise :meth:`QuantumCircuit._append` callers make: qubits and
+    clbits are tuples of ``int``, in range, without duplicates, and as many
+    as the operation takes.
+    """
+    for index, instruction in enumerate(circuit.data):
+        operation = instruction.operation
+        for kind, wires, arity, width in (
+            ("qubits", instruction.qubits, operation.num_qubits, circuit.num_qubits),
+            ("clbits", instruction.clbits, operation.num_clbits, circuit.num_clbits),
+        ):
+            where = f"instruction {index} ({operation.name}) {kind} {wires!r}"
+            if type(wires) is not tuple or any(type(wire) is not int for wire in wires):
+                return f"{where} are not a tuple of int"
+            if len(wires) != arity:
+                return f"{where}: the operation takes {arity}"
+            if len(set(wires)) != len(wires):
+                return f"{where} repeat a wire"
+            if any(not 0 <= wire < width for wire in wires):
+                return f"{where} leave the range 0..{width - 1}"
+    return None
 
 
 def _has_operation(circuit: QuantumCircuit, names) -> bool:
@@ -474,7 +512,16 @@ class QsanValidator:
         violations = self._audit_contract(
             pass_, before, after, properties, snapshot, written, valid_before, changed
         )
-        if self.config.mode == "full" and changed:
+        problem = _wire_problem(after) if after is not before else None
+        if problem is not None:
+            violations.append(
+                ContractViolation(
+                    f"pass {pass_.name} emitted an instruction on invalid wires: {problem}",
+                    kind="wires",
+                    pass_name=pass_.name,
+                )
+            )
+        elif self.config.mode == "full" and changed:
             violations.extend(self._check_equivalence(pass_, before, after, properties))
         self.violations.extend(violations)
         # keep only the live circuit's semantic reference: the next pass's

@@ -130,6 +130,20 @@ class QuantumCircuit:
         self.data.append(CircuitInstruction(operation, qubits, clbits))
         return self
 
+    def _append(self, instruction: CircuitInstruction) -> "QuantumCircuit":
+        """Append a ready-made instruction without re-validating it.
+
+        The transpiler passes' emit path.  A pass only re-emits wires its
+        input circuit already validated, or maps them through a layout or
+        permutation, so the checks in :meth:`append` would be repeated
+        work.  The caller promises what :meth:`append` checks: the qubits
+        and clbits are tuples of ``int``, in range, free of duplicates and
+        of the operation's arity.  QSAN's ``contracts`` mode verifies that
+        promise on every pass output.
+        """
+        self.data.append(instruction)
+        return self
+
     # -- one-qubit gates -------------------------------------------------
 
     def id(self, qubit: int):

@@ -21,6 +21,9 @@ Python dispatch; this module instead operates on **stacked operands** --
   :func:`repro.linalg.euler.u3_params_from_unitary` elementwise;
 * :func:`weyl_coordinates_batch` -- canonical-gate coordinates of a stack
   of two-qubit unitaries;
+* :func:`num_cnots_required_batch` -- closed-form CNOT budgets of a stack
+  of two-qubit unitaries (``ConsolidateBlocks`` screens its blocks with
+  it before any synthesis);
 * :func:`is_unitary_batch` / :func:`is_identity_up_to_phase_batch` --
   vectorized predicates mirroring :mod:`repro.linalg.predicates`;
 * :func:`u3_matrix_batch` / :func:`apply_1q_batch` -- vectorized ``u3``
@@ -56,6 +59,7 @@ __all__ = [
     "u3_params_batch",
     "euler_zyz_angles_batch",
     "weyl_coordinates_batch",
+    "num_cnots_required_batch",
     "is_unitary_batch",
     "is_identity_up_to_phase_batch",
     "u3_matrix_batch",
@@ -483,6 +487,47 @@ def weyl_coordinates_batch(stack) -> np.ndarray:
     b = (-theta[..., 0] + theta[..., 1] - theta[..., 2] + theta[..., 3]) / 4
     c = (theta[..., 0] - theta[..., 1] - theta[..., 2] + theta[..., 3]) / 4
     return get_backend().to_numpy(xp.stack([a, b, c], axis=-1))
+
+
+def num_cnots_required_batch(stack, atol: float = 1e-8) -> np.ndarray:
+    """Minimum CNOT count of every stacked 4x4 unitary, in closed form.
+
+    The Shende--Bullock--Markov tests on the traces of the magic-basis
+    Gram matrix ``M2 = M^T M`` (``M`` the magic-basis image of ``U / det(U)
+    ** (1/4)``), checked in this precedence:
+
+    * 0 CNOTs  <=>  ``tr(M2) = +/-4`` (tensor product),
+    * 1 CNOT   <=>  spectrum ``{i, i, -i, -i}``: ``tr(M2) = 0`` and
+      ``tr(M2^2) = -4``,
+    * 2 CNOTs  <=>  ``tr(M2)`` is real,
+    * otherwise 3.
+
+    Every operation acts on each matrix of the stack on its own, so an
+    entry's budget does not depend on what else is stacked with it:
+    :func:`repro.linalg.weyl.num_cnots_required` is the ``N = 1`` case.
+    Returns an ``(N,)`` int array.
+    """
+    from repro.linalg.weyl import _MAGIC_DAG, MAGIC_BASIS
+
+    backend = get_backend()
+    xp = backend.xp
+    unitaries = backend.asarray(_as_stack(stack), dtype=complex)
+    if unitaries.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 operands, got shape {unitaries.shape}")
+    det = xp.linalg.det(unitaries)
+    special = unitaries * xp.exp(-1j * xp.angle(det) / 4)[..., None, None]
+    magic = xp.asarray(_MAGIC_DAG) @ special @ xp.asarray(MAGIC_BASIS)
+    gram = xp.matmul(xp.swapaxes(magic, -1, -2), magic)
+    trace = xp.trace(gram, axis1=-2, axis2=-1)
+    # gram is symmetric, so tr(gram @ gram) is the sum of its squared entries
+    trace_sq = (gram * gram).sum(axis=(-2, -1))
+    real_trace = xp.abs(trace.imag) < atol
+    local = real_trace & (xp.abs(xp.abs(trace.real) - 4.0) < atol)
+    one_cnot = (xp.abs(trace) < atol) & (xp.abs(trace_sq + 4.0) < atol)
+    # both special cases imply a real trace and exclude each other, so the
+    # precedence above is plain subtraction
+    budgets = 3 - real_trace.astype(np.int64) - one_cnot - 2 * local
+    return backend.to_numpy(budgets)
 
 
 # -- batched predicates ------------------------------------------------------

@@ -27,7 +27,8 @@ The algorithm follows the standard magic-basis construction:
 The eigenphases are sorted descending, which makes the returned coordinate
 triple a deterministic function of the local-equivalence class.  The CNOT
 cost test (:func:`num_cnots_required`) uses the Shende--Bullock--Markov
-trace invariants of ``M^T M``.
+trace invariants of ``M^T M``; its stacked form lives in
+:func:`repro.linalg.batch.num_cnots_required_batch`.
 """
 
 from __future__ import annotations
@@ -220,33 +221,14 @@ def weyl_coordinates(unitary: np.ndarray) -> tuple[float, float, float]:
     return decomposition.coordinates
 
 
-def _gamma_trace_invariants(unitary: np.ndarray) -> tuple[complex, complex]:
-    """Traces ``tr(M2)`` and ``tr(M2 @ M2)`` of the magic-basis Gram matrix."""
-    unitary = np.asarray(unitary, dtype=complex)
-    det = np.linalg.det(unitary)
-    special = unitary * np.exp(-1j * np.angle(det) / 4)
-    magic = _MAGIC_DAG @ special @ MAGIC_BASIS
-    m2 = magic.T @ magic
-    return complex(np.trace(m2)), complex(np.trace(m2 @ m2))
-
-
 def num_cnots_required(unitary: np.ndarray, atol: float = 1e-8) -> int:
     """Minimum number of CNOT gates needed to implement ``unitary``.
 
-    Implements the Shende--Bullock--Markov invariant tests on the spectrum of
-    the magic-basis Gram matrix ``M^T M``:
-
-    * 0 CNOTs  <=>  ``tr(M2) = +/-4`` (tensor product),
-    * 1 CNOT   <=>  spectrum ``{i, i, -i, -i}``: ``tr(M2) = 0`` and
-      ``tr(M2^2) = -4``,
-    * 2 CNOTs  <=>  ``tr(M2)`` is real,
-    * otherwise 3.
+    The ``N = 1`` case of :func:`repro.linalg.batch.num_cnots_required_batch`
+    (the Shende--Bullock--Markov trace tests on the magic-basis Gram matrix
+    ``M^T M``), so a block's budget is the same whether it is screened in a
+    stack or computed alone at the start of synthesis.
     """
-    trace, trace_sq = _gamma_trace_invariants(unitary)
-    if abs(trace.imag) < atol and abs(abs(trace.real) - 4.0) < atol:
-        return 0
-    if abs(trace) < atol and abs(trace_sq + 4.0) < atol:
-        return 1
-    if abs(trace.imag) < atol:
-        return 2
-    return 3
+    from repro.linalg.batch import num_cnots_required_batch
+
+    return int(num_cnots_required_batch(np.asarray(unitary)[None], atol=atol)[0])

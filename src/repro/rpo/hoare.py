@@ -38,7 +38,7 @@ import threading
 import numpy as np
 
 from repro.circuit.instruction import ControlledGate
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
@@ -121,18 +121,18 @@ class HoareOptimizer(TransformationPass):
         if name in ("barrier", "annot"):
             # the Hoare baseline has no annotation support (Sec. VI-C is an
             # RPO feature); annotations pass through inert
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "reset":
             self._apply_reset(qubits[0])
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "measure":
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if not operation.is_gate():
             self._widen(qubits)
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
 
         # control-filtering through the decision procedure
@@ -155,7 +155,7 @@ class HoareOptimizer(TransformationPass):
                 return
 
         self._apply_gate_to_support(operation, qubits)
-        output.append(operation, qubits, clbits)
+        output._append(CircuitInstruction(operation, qubits, clbits))
 
     # -- rules ---------------------------------------------------------
 

@@ -41,7 +41,7 @@ import threading
 import numpy as np
 
 from repro.circuit.instruction import ControlledGate, Gate
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.gates import (
     CCXGate,
     CCZGate,
@@ -108,6 +108,7 @@ class QBOPass(TransformationPass):
         return getattr(self._run_state, "swapz_profitable", True)
 
     def _count_rewrite(self) -> None:
+        """Count one rule application: a gate removed or replaced."""
         self._run_state.rewrites[self.name] += 1
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
@@ -139,23 +140,23 @@ class QBOPass(TransformationPass):
         name = operation.name
 
         if name == "barrier":
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "annot":
             tracker.apply_annotation(qubits[0], *operation.params[:2])
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "reset":
             tracker.apply_reset(qubits[0])
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "measure":
             tracker.apply_measure(qubits[0])
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if not operation.is_gate():
             tracker.invalidate(qubits)
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
 
         if operation.num_qubits == 1:
@@ -179,7 +180,7 @@ class QBOPass(TransformationPass):
 
         # unknown multi-qubit gate: sound default
         tracker.invalidate(qubits)
-        output.append(operation, qubits, clbits)
+        output._append(CircuitInstruction(operation, qubits, clbits))
 
     # -- one-qubit gates (Eq. 7) ----------------------------------------
 
@@ -192,7 +193,7 @@ class QBOPass(TransformationPass):
             self._count_rewrite()
             return
         tracker.apply_1q_gate(qubit, matrix)
-        output.append(operation, (qubit,))
+        output._append(CircuitInstruction(operation, (qubit,)))
 
     # -- controlled one-qubit-base gates ----------------------------------
 
@@ -220,6 +221,7 @@ class QBOPass(TransformationPass):
         base = operation.base_gate
         if not remaining:
             # all controls satisfied: the bare base gate remains
+            self._count_rewrite()
             self._process(base, (target,), (), tracker, output)
             return
 
@@ -234,11 +236,13 @@ class QBOPass(TransformationPass):
                 return  # eigenvalue +1: remove (|psi+> rule)
             if abs(abs(folded) - math.pi) < _PHASE_ATOL:
                 # eigenvalue -1: (multi-)controlled Z (|psi-> rule)
+                self._count_rewrite()
                 self._emit_controlled_phase(
                     math.pi, remaining, remaining_state_bits, tracker, output
                 )
                 return
             if self.general_eigenphase:
+                self._count_rewrite()
                 self._emit_controlled_phase(
                     alpha, remaining, remaining_state_bits, tracker, output
                 )
@@ -248,12 +252,14 @@ class QBOPass(TransformationPass):
         reduced = self._rebuild_controlled(
             operation, base, len(remaining), remaining_state_bits
         )
+        if reduced is not operation:  # some controls were dropped
+            self._count_rewrite()
         tracker.invalidate(remaining)
         if alpha is None:
             tracker.invalidate([target])
         # else: the target is an eigenstate of the base gate, so the kept
         # gate acts as a control-side phase and the target state survives
-        output.append(reduced, tuple(remaining) + (target,))
+        output._append(CircuitInstruction(reduced, tuple(remaining) + (target,)))
 
     def _emit_controlled_phase(
         self, alpha, controls, state_bits, tracker, output
@@ -283,7 +289,7 @@ class QBOPass(TransformationPass):
                 ctrl_state |= bit << index
             gate = MCU1Gate(alpha, len(controls) - 1, ctrl_state=ctrl_state)
             tracker.invalidate(wires)
-            output.append(gate, tuple(wires))
+            output._append(CircuitInstruction(gate, tuple(wires)))
             return
         # every control is open: flip one wire explicitly (bypassing the
         # rewrite engine so the conjugation cannot be "optimized away")
@@ -292,12 +298,12 @@ class QBOPass(TransformationPass):
         x_gate = XGate()
         wire = controls[-1]
         tracker.apply_1q_gate(wire, x_gate.to_matrix())
-        output.append(x_gate, (wire,))
+        output._append(CircuitInstruction(x_gate, (wire,)))
         self._emit_controlled_phase(
             alpha, controls, state_bits[:-1] + [1], tracker, output
         )
         tracker.apply_1q_gate(wire, x_gate.to_matrix())
-        output.append(x_gate, (wire,))
+        output._append(CircuitInstruction(x_gate, (wire,)))
 
     @staticmethod
     def _rebuild_controlled(original, base, num_ctrl, state_bits):
@@ -334,6 +340,7 @@ class QBOPass(TransformationPass):
         state_a, state_b = tracker.state(a), tracker.state(b)
         if state_a.is_known and state_b.is_known:
             # Eq. 6 (basis-state form, Table VI): two one-qubit basis changes
+            self._count_rewrite()
             if state_a is state_b:
                 return
             prep_a = preparation_matrices(state_a)
@@ -346,6 +353,7 @@ class QBOPass(TransformationPass):
             return
         if (state_a.is_known or state_b.is_known) and self._swapz_profitable:
             # Eqs. 4-5: reduce to SWAPZ with basis-prep brackets
+            self._count_rewrite()
             zero_q, other = (a, b) if state_a.is_known else (b, a)
             known = tracker.state(zero_q)
             prep = preparation_matrices(known)
@@ -357,7 +365,7 @@ class QBOPass(TransformationPass):
                     tracker,
                     output,
                 )
-            output.append(SwapZGate(), (zero_q, other))
+            output._append(CircuitInstruction(SwapZGate(), (zero_q, other)))
             tracker.apply_swap(zero_q, other)
             if known is not BasisState.ZERO:
                 self._process(
@@ -365,16 +373,17 @@ class QBOPass(TransformationPass):
                 )
             return
         tracker.apply_swap(a, b)
-        output.append(operation, qubits)
+        output._append(CircuitInstruction(operation, qubits))
 
     def _process_swapz(self, operation, qubits, tracker, output) -> None:
         zero_q, other = qubits
         if tracker.state(zero_q) is BasisState.ZERO:
             tracker.apply_swap(zero_q, other)
-            output.append(operation, qubits)
+            output._append(CircuitInstruction(operation, qubits))
             return
         # promise not provable: demote to the defining CNOT pair (Eq. 3),
         # which preserves the gate's unitary unconditionally
+        self._count_rewrite()
         self._process(CXGate(), (other, zero_q), (), tracker, output)
         self._process(CXGate(), (zero_q, other), (), tracker, output)
 
@@ -382,20 +391,23 @@ class QBOPass(TransformationPass):
         control, a, b = qubits
         state_c = tracker.state(control)
         if state_c is BasisState.ZERO:
+            self._count_rewrite()
             return
         if state_c is BasisState.ONE:
             from repro.gates import SwapGate
 
+            self._count_rewrite()
             self._process(SwapGate(), (a, b), (), tracker, output)
             return
         if tracker.state(a).is_known or tracker.state(b).is_known:
             # Fig. 14 decomposition; the outer CNOTs hit the basis rules
+            self._count_rewrite()
             self._process(CXGate(), (b, a), (), tracker, output)
             self._process(CCXGate(), (control, a, b), (), tracker, output)
             self._process(CXGate(), (b, a), (), tracker, output)
             return
         tracker.invalidate(qubits)
-        output.append(operation, qubits)
+        output._append(CircuitInstruction(operation, qubits))
 
     # -- V-chain MCX -------------------------------------------------------
 
@@ -413,20 +425,24 @@ class QBOPass(TransformationPass):
             for control in controls:
                 state = tracker.state(control)
                 if state is BasisState.ZERO:
+                    self._count_rewrite()
                     return  # never fires; ancillas provably return to |0>
                 if state is BasisState.ONE:
                     continue
                 remaining.append(control)
             target_state = tracker.state(target)
             if target_state is BasisState.PLUS:
+                self._count_rewrite()
                 return
             if not remaining:
                 from repro.gates import XGate
 
+                self._count_rewrite()
                 self._process(XGate(), (target,), (), tracker, output)
                 return
             if target_state is BasisState.MINUS:
                 # MCX target |->  ->  MCZ over the remaining controls (Eq. 8)
+                self._count_rewrite()
                 if len(remaining) == 1:
                     from repro.gates import ZGate
 
@@ -434,9 +450,10 @@ class QBOPass(TransformationPass):
                 else:
                     gate = MCZGate(len(remaining) - 1)
                     tracker.invalidate(remaining)
-                    output.append(gate, tuple(remaining))
+                    output._append(CircuitInstruction(gate, tuple(remaining)))
                 return
             if len(remaining) < k:
+                self._count_rewrite()
                 reduced = self._vchain_like(len(remaining))
                 needed = max(0, len(remaining) - 2)
                 used_ancillas = ancillas[:needed]
@@ -444,10 +461,11 @@ class QBOPass(TransformationPass):
                 # paper semantics: a surviving multi-qubit gate sends its
                 # qubits to TOP -- including the ancillas it actually uses
                 tracker.invalidate(used_ancillas)
-                output.append(reduced, tuple(remaining) + tuple(used_ancillas) + (target,))
+                wires = tuple(remaining) + tuple(used_ancillas) + (target,)
+                output._append(CircuitInstruction(reduced, wires))
                 return
         tracker.invalidate(qubits)
-        output.append(operation, qubits)
+        output._append(CircuitInstruction(operation, qubits))
 
     @staticmethod
     def _vchain_like(num_controls: int) -> Gate:

@@ -71,6 +71,7 @@ class QPOPass(TransformationPass):
         return getattr(self._run_state, "swapz_profitable", True)
 
     def _count_rewrite(self) -> None:
+        """Count one rule application: a gate removed or replaced."""
         self._run_state.rewrites[self.name] += 1
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
@@ -102,23 +103,23 @@ class QPOPass(TransformationPass):
     def _process(self, operation, qubits, clbits, tracker, output) -> None:
         name = operation.name
         if name == "barrier":
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "annot":
             tracker.apply_annotation(qubits[0], *operation.params[:2])
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "reset":
             tracker.apply_reset(qubits[0])
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if name == "measure":
             tracker.apply_measure(qubits[0])
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if not operation.is_gate():
             tracker.invalidate(qubits)
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         if operation.num_qubits == 1:
             self._process_1q(operation, qubits[0], tracker, output)
@@ -139,7 +140,7 @@ class QPOPass(TransformationPass):
             self._process_cz(operation, qubits, tracker, output)
             return
         tracker.invalidate(qubits)
-        output.append(operation, qubits, clbits)
+        output._append(CircuitInstruction(operation, qubits, clbits))
 
     def _process_1q(self, operation, qubit, tracker, output) -> None:
         matrix = self._cache.matrix(operation)
@@ -151,7 +152,7 @@ class QPOPass(TransformationPass):
                 self._count_rewrite()
                 return
         tracker.apply_1q_gate(qubit, matrix)
-        output.append(operation, (qubit,))
+        output._append(CircuitInstruction(operation, (qubit,)))
 
     # -- SWAP rules (Eqs. 4-6) ---------------------------------------------
 
@@ -160,6 +161,7 @@ class QPOPass(TransformationPass):
         known_a, known_b = tracker.is_known(a), tracker.is_known(b)
         if known_a and known_b:
             # Eq. 6: V maps |psi_a> to |psi_b>, V^-1 the reverse
+            self._count_rewrite()
             prep_a = tracker.preparation_matrix(a)
             prep_b = tracker.preparation_matrix(b)
             v = prep_b @ prep_a.conj().T
@@ -170,6 +172,7 @@ class QPOPass(TransformationPass):
             return
         if (known_a or known_b) and self._swapz_profitable:
             # Eq. 5: transform the known state to |0>, SWAPZ, restore
+            self._count_rewrite()
             pure_q, other = (a, b) if known_a else (b, a)
             prep = tracker.preparation_matrix(pure_q)
             if not _is_zero_state(tracker.state(pure_q)):
@@ -177,7 +180,7 @@ class QPOPass(TransformationPass):
                     UnitaryGate(prep.conj().T, label="qpo_prep_dg"),
                     (pure_q,), (), tracker, output,
                 )
-            output.append(SwapZGate(), (pure_q, other))
+            output._append(CircuitInstruction(SwapZGate(), (pure_q, other)))
             tracker.apply_swap(pure_q, other)
             if not np.allclose(prep, np.eye(2), atol=1e-12):
                 self._process(
@@ -185,16 +188,16 @@ class QPOPass(TransformationPass):
                 )
             return
         tracker.apply_swap(a, b)
-        output.append(SwapGate(), qubits)
+        output._append(CircuitInstruction(SwapGate(), qubits))
 
     def _process_swapz(self, operation, qubits, tracker, output) -> None:
         zero_q, other = qubits
         if tracker.is_known(zero_q) and _is_zero_state(tracker.state(zero_q)):
             tracker.apply_swap(zero_q, other)
-            output.append(operation, qubits)
+            output._append(CircuitInstruction(operation, qubits))
             return
         tracker.invalidate(qubits)
-        output.append(operation, qubits)
+        output._append(CircuitInstruction(operation, qubits))
 
     # -- CX / CZ with basis-classified pure states (Sec. V-B) --------------
 
@@ -204,29 +207,35 @@ class QPOPass(TransformationPass):
             ctrl_class = tracker.basis_classification(control)
             tgt_class = tracker.basis_classification(target)
             if ctrl_class is BasisState.ZERO:
+                self._count_rewrite()
                 return
             if ctrl_class is BasisState.ONE:
+                self._count_rewrite()
                 self._process(XGate(), (target,), (), tracker, output)
                 return
             if tgt_class is BasisState.PLUS:
+                self._count_rewrite()
                 return
             if tgt_class is BasisState.MINUS:
+                self._count_rewrite()
                 self._process(ZGate(), (control,), (), tracker, output)
                 return
         tracker.invalidate(qubits)
-        output.append(operation, qubits)
+        output._append(CircuitInstruction(operation, qubits))
 
     def _process_cz(self, operation, qubits, tracker, output) -> None:
         if getattr(operation, "ctrl_state", 1) == 1:
             for this, that in (qubits, qubits[::-1]):
                 classification = tracker.basis_classification(this)
                 if classification is BasisState.ZERO:
+                    self._count_rewrite()
                     return
                 if classification is BasisState.ONE:
+                    self._count_rewrite()
                     self._process(ZGate(), (that,), (), tracker, output)
                     return
         tracker.invalidate(qubits)
-        output.append(operation, qubits)
+        output._append(CircuitInstruction(operation, qubits))
 
     # -- Fredkin (Eq. 9) -----------------------------------------------------
 
@@ -234,23 +243,26 @@ class QPOPass(TransformationPass):
         control, a, b = qubits
         ctrl_class = tracker.basis_classification(control)
         if ctrl_class is BasisState.ZERO:
+            self._count_rewrite()
             return
         if ctrl_class is BasisState.ONE:
+            self._count_rewrite()
             self._process_swap((a, b), tracker, output)
             return
         if tracker.is_known(a) and tracker.is_known(b):
             # Eq. 9: two controlled-U gates; U maps |psi_a> to |psi_b>
+            self._count_rewrite()
             prep_a = tracker.preparation_matrix(a)
             prep_b = tracker.preparation_matrix(b)
             u = prep_b @ prep_a.conj().T
             cu = ControlledGate("cu", 1, UnitaryGate(u, label="qpo_u"))
             cu_dag = ControlledGate("cu_dg", 1, UnitaryGate(u.conj().T, label="qpo_udg"))
             tracker.invalidate(qubits)
-            output.append(cu, (control, a))
-            output.append(cu_dag, (control, b))
+            output._append(CircuitInstruction(cu, (control, a)))
+            output._append(CircuitInstruction(cu_dag, (control, b)))
             return
         tracker.invalidate(qubits)
-        output.append(operation, qubits)
+        output._append(CircuitInstruction(operation, qubits))
 
     # ==================================================================
     # phase 2: two-qubit block state preparation (Sec. V-D)
@@ -351,7 +363,7 @@ class QPOPass(TransformationPass):
             tracker.apply_swap(*qubits)
         else:
             tracker.invalidate(qubits)
-        output.append(operation, qubits, instruction.clbits)
+        output._append(instruction)
 
     def _emit_pure_block(self, block: "_PureBlock", tracker, output) -> None:
         input_states = block.input_states
@@ -385,13 +397,15 @@ class QPOPass(TransformationPass):
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
         undo_high = u3_matrix(*input_states[1], 0.0).conj().T
         if not np.allclose(undo_low, np.eye(2), atol=1e-12):
-            output.append(UnitaryGate(undo_low, label="qpo_undo"), (low,))
+            undo = UnitaryGate(undo_low, label="qpo_undo")
+            output._append(CircuitInstruction(undo, (low,)))
         if not np.allclose(undo_high, np.eye(2), atol=1e-12):
-            output.append(UnitaryGate(undo_high, label="qpo_undo"), (high,))
+            undo = UnitaryGate(undo_high, label="qpo_undo")
+            output._append(CircuitInstruction(undo, (high,)))
         output.global_phase += prep.global_phase
         for inner in prep.data:
             mapped = tuple((low, high)[q] for q in inner.qubits)
-            output.append(inner.operation, mapped)
+            output._append(CircuitInstruction(inner.operation, mapped))
         # update tracked states from the produced output state
         coefficients, left_basis, right_basis = schmidt_decomposition(output_vector)
         if coefficients[1] < 1e-9:

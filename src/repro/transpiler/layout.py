@@ -24,6 +24,8 @@ class Layout:
         return cls({i: i for i in range(num_qubits)})
 
     def add(self, virtual: int, physical: int) -> None:
+        # plain ints: ApplyLayout emits these as wires without re-checking
+        virtual, physical = int(virtual), int(physical)
         if virtual in self._v2p or physical in self._p2v:
             raise TranspilerError(
                 f"layout collision adding virtual {virtual} -> physical {physical}"

@@ -24,7 +24,7 @@ def _emit_surviving(circuit: QuantumCircuit, survivors: list) -> QuantumCircuit:
     output = circuit.copy_empty_like()
     for item in survivors:
         if item is not None:
-            output.append(item.operation, item.qubits, item.clbits)
+            output._append(item)
     return output
 
 

@@ -54,9 +54,7 @@ class RemoveDiagonalGatesBeforeMeasure(TransformationPass):
         output = circuit.copy_empty_like()
         for instruction in survivors:
             if instruction is not None:
-                output.append(
-                    instruction.operation, instruction.qubits, instruction.clbits
-                )
+                output._append(instruction)
         return output
 
 
@@ -76,7 +74,7 @@ class RemoveAnnotations(TransformationPass):
         for instruction in circuit.data:
             if instruction.operation.name == "annot":
                 continue
-            output.append(instruction.operation, instruction.qubits, instruction.clbits)
+            output._append(instruction)
         return output
 
 
@@ -92,5 +90,5 @@ class RemoveBarriers(TransformationPass):
         for instruction in circuit.data:
             if instruction.operation.name == "barrier":
                 continue
-            output.append(instruction.operation, instruction.qubits, instruction.clbits)
+            output._append(instruction)
         return output

@@ -9,7 +9,7 @@ layout selection of optimization levels 2 and 3 (paper Sec. II-B).
 
 from __future__ import annotations
 
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.layout import Layout
@@ -150,6 +150,8 @@ class ApplyLayout(TransformationPass):
         output.global_phase = circuit.global_phase
         for instruction in circuit.data:
             mapped = tuple(layout.physical(q) for q in instruction.qubits)
-            output.append(instruction.operation, mapped, instruction.clbits)
+            output._append(
+                CircuitInstruction(instruction.operation, mapped, instruction.clbits)
+            )
         property_set["original_num_qubits"] = circuit.num_qubits
         return output

@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
+from repro.gates import U1Gate, U2Gate, U3Gate
 from repro.linalg.batch import chain_products, u3_params_batch
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
@@ -51,14 +52,14 @@ class Optimize1qGates(TransformationPass):
 
         # Phase 1: scan into an ordered event list; runs carry operations
         # only (no matrix work happens during the scan).
-        events: list[tuple[str, object, tuple, tuple]] = []
+        events: list[tuple[str, object]] = []
         runs: list[tuple[int, list]] = []  # (qubit, operations)
         pending: dict[int, int] = {}  # qubit -> index into ``runs``
 
         def flush(qubit: int) -> None:
             run_index = pending.pop(qubit, None)
             if run_index is not None:
-                events.append(("run", run_index, (), ()))
+                events.append(("run", run_index))
 
         for instruction in circuit.data:
             operation = instruction.operation
@@ -77,9 +78,7 @@ class Optimize1qGates(TransformationPass):
                 continue
             for qubit in instruction.qubits:
                 flush(qubit)
-            events.append(
-                ("raw", operation, instruction.qubits, instruction.clbits)
-            )
+            events.append(("raw", instruction))
         for qubit in sorted(pending):
             flush(qubit)
 
@@ -96,9 +95,9 @@ class Optimize1qGates(TransformationPass):
         params = u3_params_batch(products) if len(runs) else np.empty((0, 4))
 
         output = circuit.copy_empty_like()
-        for kind, payload, qubits, clbits in events:
+        for kind, payload in events:
             if kind == "raw":
-                output.append(payload, qubits, clbits)
+                output._append(payload)
                 continue
             run_qubit, ops = runs[payload]
             if len(ops) > 1:
@@ -118,9 +117,9 @@ class Optimize1qGates(TransformationPass):
             # diagonal: a pure phase gate (or identity)
             total = normalize_angle(phi + lam)
             if total > _EPS:
-                output.u1(total, qubit)
+                output._append(CircuitInstruction(U1Gate(total), (qubit,)))
             return
         if abs(theta_n - math.pi / 2) < _EPS:
-            output.u2(phi, lam, qubit)
+            output._append(CircuitInstruction(U2Gate(phi, lam), (qubit,)))
             return
-        output.u3(theta, phi, lam, qubit)
+        output._append(CircuitInstruction(U3Gate(theta, phi, lam), (qubit,)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.gates import SwapGate
 from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.exceptions import TranspilerError
@@ -108,7 +108,9 @@ class StochasticSwap(TransformationPass):
             qubits = instruction.qubits
             if len(qubits) != 2 or instruction.operation.is_directive:
                 mapped = tuple(perm[q] for q in qubits)
-                output.append(instruction.operation, mapped, instruction.clbits)
+                output._append(
+                    CircuitInstruction(instruction.operation, mapped, instruction.clbits)
+                )
                 continue
             a, b = qubits
             guard = 0
@@ -124,10 +126,14 @@ class StochasticSwap(TransformationPass):
                     swap_edge = self._choose_swap(
                         perm, a, b, two_qubit_gates, lookahead_starts.get(index, 0), rng
                     )
-                output.append(SwapGate(), swap_edge)
+                output._append(CircuitInstruction(SwapGate(), swap_edge))
                 swaps_inserted += 1
                 self._apply_swap(perm, swap_edge)
-            output.append(instruction.operation, (perm[a], perm[b]), instruction.clbits)
+            output._append(
+                CircuitInstruction(
+                    instruction.operation, (perm[a], perm[b]), instruction.clbits
+                )
+            )
         return output, swaps_inserted, perm
 
     def _choose_swap(self, perm, a, b, two_qubit_gates, window_start, rng):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
@@ -53,7 +53,7 @@ class Unroller(TransformationPass):
                 f"definition recursion too deep while unrolling {operation.name!r}"
             )
         if operation.name in self.basis:
-            output.append(operation, qubits, clbits)
+            output._append(CircuitInstruction(operation, qubits, clbits))
             return
         definition = operation.definition
         if definition is None:

@@ -458,19 +458,6 @@ class PassManager:
 
         changed = not _unchanged(circuit, result)
         written = _meaningful_writes(snapshot, properties)
-        undeclared = written - set(provides) - set(pass_.writes)
-        if changed or undeclared:
-            # a rewritten circuit -- or one whose pass wrote properties it
-            # never declared, a change the structural shortcut used to
-            # miss -- invalidates everything not declared kept
-            if pass_.preserves != "all":
-                state.valid &= set(pass_.preserves)
-        if changed:
-            state.size = result.size()
-            state.depth = result.depth()
-        state.valid -= set(pass_.invalidates)
-        state.valid |= set(provides)
-
         found = []
         if state.validator is not None:
             found = state.validator.check_pass(
@@ -484,6 +471,24 @@ class PassManager:
                 changed=changed,
             )
             state.violations.extend(found)
+            for violation in found:
+                if violation.kind == "wires":
+                    # raised even when reporting: nothing, not even the
+                    # depth metric below, can run on invalid wires
+                    raise violation
+        undeclared = written - set(provides) - set(pass_.writes)
+        if changed or undeclared:
+            # a rewritten circuit -- or one whose pass wrote properties it
+            # never declared, a change the structural shortcut used to
+            # miss -- invalidates everything not declared kept
+            if pass_.preserves != "all":
+                state.valid &= set(pass_.preserves)
+        if changed:
+            state.size = result.size()
+            state.depth = result.depth()
+        state.valid -= set(pass_.invalidates)
+        state.valid |= set(provides)
+
         properties["pass_times"].append((pass_.name, elapsed))
         state.metrics.append(
             PassMetrics(

@@ -2,10 +2,13 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.analysis.qsan import ContractViolation, QsanConfig, QsanValidator
 from repro.circuit import QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction
+from repro.gates import CXGate, Measure, XGate
 from repro.transpiler import PassManager, TranspilerError
 from repro.transpiler.passmanager import AnalysisPass, TransformationPass
 from repro.transpiler.passes import Size
@@ -80,6 +83,25 @@ class BrokenOptimizer(TransformationPass):
                 out.append(
                     instruction.operation, instruction.qubits, instruction.clbits
                 )
+        return out
+
+
+class MisWiredEmit(TransformationPass):
+    """Copies the circuit through the trusted ``_append``, then adds one
+    instruction on the wires it was built with."""
+
+    requires = ()
+    preserves = ()
+    invalidates = ()
+
+    def __init__(self, instruction):
+        self.instruction = instruction
+
+    def transform(self, circuit, props):
+        out = circuit.copy_empty_like()
+        for instruction in circuit.data:
+            out._append(instruction)
+        out._append(self.instruction)
         return out
 
 
@@ -174,6 +196,41 @@ class TestEquivalence:
         pm = PassManager([BrokenOptimizer()])
         with pytest.raises(ContractViolation):
             pm.run_with_result(circuit, validate="full")
+
+
+class TestWireCheck:
+    """The backstop for passes that emit through the unchecked ``_append``."""
+
+    @pytest.mark.parametrize(
+        "instruction, problem",
+        [
+            (CircuitInstruction(XGate(), (2,)), "leave the range"),
+            (CircuitInstruction(XGate(), (-1,)), "leave the range"),
+            (CircuitInstruction(CXGate(), (1, 1)), "repeat a wire"),
+            (CircuitInstruction(CXGate(), (0,)), "the operation takes 2"),
+            (CircuitInstruction(XGate(), (np.int64(0),)), "not a tuple of int"),
+            (CircuitInstruction(XGate(), [0]), "not a tuple of int"),
+            (CircuitInstruction(Measure(), (0,), (0,)), "leave the range"),
+        ],
+    )
+    def test_miswired_emit_is_caught(self, instruction, problem):
+        pm = PassManager([MisWiredEmit(instruction)])
+        with pytest.raises(ContractViolation, match=problem) as excinfo:
+            pm.run_with_result(_bell(), validate="contracts")
+        assert excinfo.value.kind == "wires"
+        assert excinfo.value.pass_name == "MisWiredEmit"
+
+    def test_wires_raise_even_in_report_mode(self, monkeypatch):
+        monkeypatch.setenv("REPRO_QSAN_REPORT", "1")
+        pm = PassManager([MisWiredEmit(CircuitInstruction(XGate(), (5,)))])
+        with pytest.raises(ContractViolation) as excinfo:
+            pm.run_with_result(_bell(), validate="full")
+        assert excinfo.value.kind == "wires"
+
+    def test_well_wired_emit_is_clean(self):
+        pm = PassManager([MisWiredEmit(CircuitInstruction(XGate(), (1,)))])
+        result = pm.run_with_result(_bell(), validate="contracts")
+        assert result.violations == []
 
 
 class TestReporting:

@@ -32,6 +32,7 @@ from repro.linalg.batch import (
     is_identity_up_to_phase_batch,
     is_unitary_batch,
     kron_batch,
+    num_cnots_required_batch,
     permute_2q,
     reduce_matmul,
     stack_chains,
@@ -43,7 +44,9 @@ from repro.linalg.batch import (
 from repro.linalg.euler import euler_zyz_angles, u3_matrix, u3_params_from_unitary
 from repro.linalg.predicates import is_identity_up_to_phase, is_unitary
 from repro.linalg.random import random_unitary
-from repro.linalg.weyl import weyl_coordinates
+from repro.linalg.weyl import canonical_gate, num_cnots_required, weyl_coordinates
+
+from tests.oracles import scalar_num_cnots_required
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -245,6 +248,53 @@ class TestWeylBatch:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="non-unitary"):
             weyl_coordinates_batch(2.0 * np.eye(4, dtype=complex)[None])
+
+
+def _budget_cases(seed: int) -> list[np.ndarray]:
+    """Unitaries of every CNOT class, dressed in random local gates."""
+    rng = np.random.default_rng(seed)
+
+    def locals_():
+        return np.kron(random_unitary(2, rng), random_unitary(2, rng))
+
+    cores = [
+        np.eye(4, dtype=complex),
+        standard_gate_matrix("cx"),
+        standard_gate_matrix("cz"),
+        canonical_gate(*rng.uniform(-1, 1, 2), 0.0),  # (a, b, 0): 2 CNOTs
+        standard_gate_matrix("swap"),
+        standard_gate_matrix("iswap"),
+        canonical_gate(*rng.uniform(-1, 1, 3)),
+    ]
+    return [
+        np.exp(1j * rng.uniform(-np.pi, np.pi)) * locals_() @ core @ locals_()
+        for core in cores
+    ]
+
+
+class TestCnotBudgetBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds)
+    def test_matches_scalar_oracle(self, seed):
+        stack = np.array(_budget_cases(seed) + list(su_stack(4, 3, seed)))
+        budgets = num_cnots_required_batch(stack, atol=1e-7)
+        assert budgets.shape == (len(stack),)
+        expected = [scalar_num_cnots_required(u, atol=1e-7) for u in stack]
+        assert budgets.tolist() == expected
+        assert budgets[:4].tolist() == [0, 1, 1, 2]
+        assert budgets[4:6].tolist() == [3, 2]
+
+    def test_scalar_entry_point_is_the_one_entry_case(self):
+        stack = np.array(_budget_cases(7))
+        budgets = num_cnots_required_batch(stack)
+        assert [num_cnots_required(u) for u in stack] == budgets.tolist()
+
+    def test_empty_stack(self):
+        assert num_cnots_required_batch(np.empty((0, 4, 4))).shape == (0,)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="4x4"):
+            num_cnots_required_batch(np.eye(2, dtype=complex)[None])
 
 
 class TestPredicatesBatch:

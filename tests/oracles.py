@@ -11,13 +11,18 @@ package, as the executable definitions the parity tests (and the
   :func:`scalar_trackers` runs QBO/QPO over them;
 * :func:`serial_block_matrix` / :class:`SerialConsolidateBlocks` -- one
   ``embed_gate`` + matmul per gate, one block at a time;
+* :class:`UnscreenedConsolidateBlocks` -- synthesizes every candidate
+  block and lets the acceptance test alone decide;
+  :func:`scalar_num_cnots_required` -- one block's CNOT budget from its
+  own trace invariants;
 * :func:`serial_run_product` / :class:`SerialOptimize1qGates` -- one
   matmul per gate and one scalar Euler extraction per run;
 * :func:`unfused_program`, :func:`unfused_statevector`,
   :func:`unfused_unitary` -- one simulator step per gate.
 
-Tolerances the production paths meet against these: basis tracker and
-block consolidation bit-identical, pure-tracker tuples and 1q angles
+Tolerances the production paths meet against these: basis tracker,
+block consolidation and the screened consolidation bit-identical, CNOT
+budgets equal, pure-tracker tuples and 1q angles
 within ``1e-12``, fused states and unitaries within ``1e-12``.
 """
 
@@ -31,6 +36,7 @@ from repro.circuit.matrix_utils import embed_gate
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.linalg.backend import get_backend
 from repro.linalg.euler import u3_matrix, u3_params_from_unitary
+from repro.linalg.weyl import _MAGIC_DAG, MAGIC_BASIS
 from repro.rpo import qbo, qpo
 from repro.rpo.basis_tracker import BasisStateTracker
 from repro.rpo.pure_tracker import PureStateTracker
@@ -99,7 +105,41 @@ class SerialConsolidateBlocks(ConsolidateBlocks):
     """``ConsolidateBlocks`` folding each block on its own."""
 
     def _block_matrices(self, blocks, cache):
-        return {id(block): serial_block_matrix(block, cache) for block in blocks}
+        return np.array([serial_block_matrix(block, cache) for block in blocks])
+
+
+class UnscreenedConsolidateBlocks(ConsolidateBlocks):
+    """``ConsolidateBlocks`` synthesizing every candidate block.
+
+    No closed-form screen: each candidate goes through
+    ``synthesize_two_qubit_unitary`` and the acceptance test
+    ``(new_2q, size) < (cx_cost, len(block))`` alone decides.
+    """
+
+    def _improvable(self, blocks, unitaries):
+        return [True] * len(blocks)
+
+
+def scalar_num_cnots_required(unitary: np.ndarray, atol: float = 1e-8) -> int:
+    """One unitary's CNOT budget from the Shende--Bullock--Markov traces.
+
+    ``tr(M2) = +/-4`` -> 0, ``tr(M2) = 0`` and ``tr(M2^2) = -4`` -> 1,
+    ``tr(M2)`` real -> 2, otherwise 3, with ``M2`` the magic-basis Gram
+    matrix of ``U / det(U) ** (1/4)``.
+    """
+    unitary = np.asarray(unitary, dtype=complex)
+    det = np.linalg.det(unitary)
+    special = unitary * np.exp(-1j * np.angle(det) / 4)
+    magic = _MAGIC_DAG @ special @ MAGIC_BASIS
+    m2 = magic.T @ magic
+    trace, trace_sq = complex(np.trace(m2)), complex(np.trace(m2 @ m2))
+    if abs(trace.imag) < atol and abs(abs(trace.real) - 4.0) < atol:
+        return 0
+    if abs(trace) < atol and abs(trace_sq + 4.0) < atol:
+        return 1
+    if abs(trace.imag) < atol:
+        return 2
+    return 3
 
 
 def serial_run_product(matrices) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.gates import CXGate
 from repro.rpo import QBOPass, BasisState
+from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet
 
 from tests.helpers import assert_functionally_equivalent
@@ -380,3 +381,62 @@ class TestVChain:
         circuit.mcx_vchain([0, 1, 2, 3], 6, [4, 5])
         out = run_qbo(circuit)
         assert out.count_ops().get("mcx_vchain", 0) == 1
+
+
+def qbo_rewrites(circuit, **kwargs):
+    """The pass's output and the rewrites it counted."""
+    properties = PropertySet()
+    out = QBOPass(**kwargs).run(circuit, properties)
+    return out, rewrite_counter(properties)["QBO"]
+
+
+class TestRewriteCounts:
+    """Every replacement counts once, not only removals."""
+
+    def test_removal_counts(self):
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)  # control |0>: never fires
+        out, rewrites = qbo_rewrites(circuit)
+        assert len(out.data) == 0
+        assert rewrites == 1
+
+    def test_all_controls_dropped_counts(self):
+        circuit = QuantumCircuit(2)
+        circuit.x(0)
+        circuit.cx(0, 1)  # control |1>: the bare X remains
+        out, rewrites = qbo_rewrites(circuit)
+        assert [inst.operation.name for inst in out.data] == ["x", "x"]
+        assert rewrites == 1
+        assert_functionally_equivalent(circuit, out)
+
+    def test_rebuilt_reduced_gate_counts(self):
+        circuit = QuantumCircuit(3)
+        circuit.x(0)
+        circuit.h(1)
+        circuit.t(1)
+        circuit.ccx(0, 1, 2)  # control 0 always fires: rebuilt as cx(1, 2)
+        out, rewrites = qbo_rewrites(circuit)
+        assert out.count_ops().get("ccx", 0) == 0
+        assert out.count_ops().get("cx", 0) == 1
+        assert rewrites == 1
+        assert_functionally_equivalent(circuit, out)
+
+    def test_controlled_phase_residue_counts(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        circuit.t(0)
+        circuit.x(1)
+        circuit.h(1)
+        circuit.cx(0, 1)  # target |->: a phase on the control remains
+        out, rewrites = qbo_rewrites(circuit)
+        assert out.num_nonlocal_gates() == 0
+        assert rewrites == 1
+        assert_functionally_equivalent(circuit, out)
+
+    def test_untouched_gate_does_not_count(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        circuit.cx(0, 1)  # control |+>, target |0>: nothing provable
+        out, rewrites = qbo_rewrites(circuit)
+        assert out.count_ops().get("cx", 0) == 1
+        assert rewrites == 0

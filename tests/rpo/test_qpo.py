@@ -1,9 +1,11 @@
 """Tests for the QPO pass: Eqs. 5, 6, 9 and Sec. V-D block preparation."""
 
 import numpy as np
+import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.rpo import QPOPass
+from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet
 
 from tests.helpers import assert_functionally_equivalent
@@ -200,3 +202,54 @@ class TestAnnotations:
         circuit.swap(0, 1)
         out = run_qpo(circuit)
         assert out.count_ops().get("swapz", 0) == 1
+
+
+def qpo_rewrites(circuit):
+    """The pass's output and the rewrites it counted."""
+    properties = PropertySet()
+    out = QPOPass(optimize_blocks=False).run(circuit, properties)
+    return out, rewrite_counter(properties)["QPO"]
+
+
+class TestRewriteCounts:
+    """Every replacement counts once, not only one-qubit removals."""
+
+    @pytest.mark.parametrize(
+        "prep, remaining",
+        [
+            ([], []),  # control |0>: removed
+            ([("x", 0)], ["x", "x"]),  # control |1>: X on the target
+            ([("h", 1)], ["h"]),  # target |+>: removed
+            ([("x", 1), ("h", 1)], ["x", "h", "z"]),  # target |->: Z on the control
+        ],
+    )
+    def test_cx_rules_count(self, prep, remaining):
+        circuit = QuantumCircuit(2)
+        if any(qubit == 1 for _, qubit in prep):
+            circuit.h(0)
+            circuit.t(0)  # keep the control out of the Z basis
+            remaining = ["h", "t"] + remaining
+        for name, qubit in prep:
+            getattr(circuit, name)(qubit)
+        circuit.cx(0, 1)
+        out, rewrites = qpo_rewrites(circuit)
+        assert [inst.operation.name for inst in out.data] == remaining
+        assert rewrites == 1
+        assert_functionally_equivalent(circuit, out)
+
+    def test_cz_rule_counts(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(1)
+        circuit.t(1)
+        circuit.cz(0, 1)  # qubit 0 is |0>: removed
+        out, rewrites = qpo_rewrites(circuit)
+        assert out.num_nonlocal_gates() == 0
+        assert rewrites == 1
+
+    def test_swap_rule_counts(self):
+        circuit = QuantumCircuit(3)
+        entangle(circuit, 1, 2)
+        circuit.swap(0, 1)  # qubit 0 is |0>: SWAPZ
+        out, rewrites = qpo_rewrites(circuit)
+        assert out.count_ops().get("swapz", 0) == 1
+        assert rewrites == 1
